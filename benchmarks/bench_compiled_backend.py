@@ -34,7 +34,7 @@ import repro
 from repro.algos import MARLConfig
 from repro.experiments import fill_replay
 from repro.memsim import CompiledMemoryHierarchy, MemoryHierarchy
-from repro.nn.backend import get_backend, kernel_backend, reset_backend_warnings, warmup_kernels
+from repro.nn.backend import get_backend, reset_backend_warnings, warmup_kernels
 
 try:  # pytest runs from benchmarks/, __main__ from anywhere
     from conftest import print_exhibit
@@ -62,18 +62,19 @@ def _numba_available() -> bool:
 
 
 def _make_trainer(num_agents: int, batch_size: int, capacity: int,
-                  backend, seed: int = 0):
+                  backend: str, seed: int = 0):
     config = MARLConfig(
         batch_size=batch_size,
         buffer_capacity=capacity,
         update_every=100,
         fast_path=True,
         batched_update=True,
+        backend=backend,
     )
     return repro.make_trainer(
         "maddpg", "baseline",
         [OBS_DIM] * num_agents, [ACT_DIM] * num_agents,
-        config=config, seed=seed, backend=backend,
+        config=config, seed=seed,
     )
 
 
@@ -128,7 +129,7 @@ def bench_compiled_vs_numpy(benchmark):
         warmup_kernels("numba")  # compile outside every timed block
         numba_be = get_backend("numba")
         ref = _make_trainer(FULL_AGENTS, FULL_BATCH, 2 * FULL_ROWS, "numpy")
-        jit = _make_trainer(FULL_AGENTS, FULL_BATCH, 2 * FULL_ROWS, numba_be)
+        jit = _make_trainer(FULL_AGENTS, FULL_BATCH, 2 * FULL_ROWS, "numba")
         for trainer in (ref, jit):
             fill_replay(trainer.replay, np.random.default_rng(1), FULL_ROWS)
         results["update_numpy"] = _time_rounds(ref, rounds=3)
@@ -187,7 +188,7 @@ def _smoke() -> int:
     #    the same source the numba backend jits)
     n, batch, rows = 3, 32, 256
     ref = _make_trainer(n, batch, rows, "numpy", seed=7)
-    ker = _make_trainer(n, batch, rows, kernel_backend(), seed=7)
+    ker = _make_trainer(n, batch, rows, "python", seed=7)
     fill_replay(ref.replay, np.random.default_rng(8), rows)
     fill_replay(ker.replay, np.random.default_rng(8), rows)
     start = time.perf_counter()

@@ -75,12 +75,10 @@ def _run(num_agents, copies, steps, workers, prefetch, smoke):
     )
     trainer = repro.make_trainer(
         "maddpg", "baseline", vec.obs_dims, vec.act_dims,
-        config=_config(smoke), seed=3,
+        config=_config(smoke).scaled(prefetch=prefetch), seed=3,
     )
     try:
-        result = train_steps(
-            vec, trainer, steps, prefetch=prefetch, prefetch_seed=17
-        )
+        result = train_steps(vec, trainer, steps, seed=17)
     finally:
         if hasattr(vec, "close"):
             vec.close()

@@ -15,7 +15,7 @@ the second.  That needs real parallel hardware, so the hard assertion
 is guarded on ``os.cpu_count() >= 4``; smaller hosts still verify the
 correctness signals (row conservation, per-shard counter reconciliation,
 clean shutdown) and print measured ratios for the record.  A short
-``train_service`` run reports end-to-end learner utilization alongside.
+``train_steps`` run reports end-to-end learner utilization alongside.
 
 ``python benchmarks/bench_replay_service.py --smoke`` runs a reduced
 geometry for CI, gating only the correctness signals.
@@ -36,7 +36,7 @@ from repro.algos.config import MARLConfig
 from repro.buffers.transition import JointSchema
 from repro.envs.factory import make_vector_env
 from repro.replay import ReplayShardService
-from repro.training import train_service
+from repro.training import train_steps
 
 try:  # pytest runs from benchmarks/, __main__ from anywhere
     from conftest import print_exhibit
@@ -145,22 +145,22 @@ def _measure_topology(
 
 
 def _utilization_run(smoke: bool):
-    """Short train_service run for the end-to-end utilization figure."""
+    """Short service-mode train_steps run for the end-to-end utilization figure."""
     config = MARLConfig(
         batch_size=32 if smoke else 64,
         buffer_capacity=4_096,
         update_every=20,
         min_buffer_fill=64,
         hidden_units=(16, 16),
+        replay_shards=2,
+        learners=2,
     )
     vec = make_vector_env("cooperative_navigation", 3, 4, seed=0)
     trainer = repro.make_trainer(
         "maddpg", "baseline", vec.obs_dims, vec.act_dims, config=config, seed=3
     )
     try:
-        result = train_service(
-            vec, trainer, 40 if smoke else 80, shards=2, learners=2, seed=5
-        )
+        result = train_steps(vec, trainer, 40 if smoke else 80, seed=5)
     finally:
         if hasattr(vec, "close"):
             vec.close()
@@ -201,7 +201,7 @@ def bench_replay_service(benchmark):
             f"{scaled_shards} shards, 2 learners     "
             f"{scaled['rows_per_s']:12.0f} rows/s  ({ratio:5.2f}x)",
             f"learner utilization      {train.extra['learner_utilization']:12.2f}"
-            f"   (train_service, 2 shards x 2 learners)",
+            f"   (train_steps, 2 shards x 2 learners)",
             f"staleness mean/max       "
             f"{train.extra['staleness_mean']:6.2f} / "
             f"{train.extra['staleness_max']:.0f} versions",
@@ -235,13 +235,13 @@ def _smoke() -> int:
         f"({scaled_shards},2) {scaled['rows_per_s']:9.0f} rows/s  ({ratio:4.2f}x)"
     )
     print(
-        f"train_service:   rounds {int(train.extra['learner_rounds'])}  "
+        f"train_steps:     rounds {int(train.extra['learner_rounds'])}  "
         f"utilization {train.extra['learner_utilization']:.2f}  "
         f"staleness max {train.extra['staleness_max']:.0f}"
     )
     failures = base["failures"] + scaled["failures"]
     if train.extra["learner_rounds"] <= 0:
-        failures.append("train_service learners made no update rounds")
+        failures.append("service-mode learners made no update rounds")
     if not 0.0 < train.extra["learner_utilization"] <= 1.0:
         failures.append(
             f"learner utilization {train.extra['learner_utilization']} out of range"

@@ -46,7 +46,7 @@ def make_filled_replay(
     rows: int = BENCH_FILL,
     capacity: int = BENCH_CAPACITY,
     prioritized: bool = False,
-    storage: str = None,
+    storage: str = "agent_major",
 ) -> MultiAgentReplay:
     """Replay with paper-faithful per-agent dimensions, synthetically filled."""
     obs_dims = env_obs_dims(env_name, num_agents)

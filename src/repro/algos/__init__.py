@@ -4,7 +4,6 @@ from .agent import ActorCriticAgent
 from .batched_update import BatchedUpdateEngine
 from .checkpoint import checkpoint_metadata, load_checkpoint, save_checkpoint
 from .config import PAPER_CONFIG, MARLConfig
-from .exploration import ExponentialSchedule, LinearSchedule, OrnsteinUhlenbeckNoise
 from .maddpg import MADDPGTrainer
 from .matd3 import MATD3Trainer
 from .variants import ALGORITHMS, VARIANTS, build_trainer, make_sampler
@@ -17,9 +16,6 @@ __all__ = [
     "save_checkpoint",
     "load_checkpoint",
     "checkpoint_metadata",
-    "LinearSchedule",
-    "ExponentialSchedule",
-    "OrnsteinUhlenbeckNoise",
     "MADDPGTrainer",
     "MATD3Trainer",
     "ALGORITHMS",

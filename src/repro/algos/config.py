@@ -63,13 +63,11 @@ class MARLConfig:
     prefetch: bool = False
     # replay storage engine: "agent_major" (baseline N dense rings) or
     # "timestep_major" (one shared packed TransitionArena; bit-identical
-    # training, O(m) joint gathers on the fast paths).  None defers to
-    # the REPRO_STORAGE environment variable, then agent_major.
-    storage: Optional[str] = None
+    # training, O(m) joint gathers on the fast paths)
+    storage: str = "agent_major"
     # replay dataset service: shard count for the sharded replay server
-    # (1 = in-process mode, bit-identical to the serial loop).  None
-    # defers to the REPRO_REPLAY_SHARDS environment variable, then 1.
-    replay_shards: Optional[int] = None
+    # (1 = in-process mode, bit-identical to the serial loop)
+    replay_shards: int = 1
     # learner processes pulling mini-batches from the replay service and
     # publishing versioned parameter snapshots (1 + one shard = serial)
     learners: int = 1
@@ -77,29 +75,18 @@ class MARLConfig:
     # re-polls the parameter store every this many vector sweeps
     param_staleness: int = 1
     # compute backend for the batched update engine: "numpy" (reference,
-    # bit-exact vs the scalar loop) or "numba" (fused jitted kernels,
+    # bit-exact vs the scalar loop), "numba" (fused jitted kernels,
     # tolerance-gated; degrades to numpy with a warning when numba is
-    # not installed).  None defers to the REPRO_BACKEND environment
-    # variable, then numpy.
-    backend: Optional[str] = None
+    # not installed) or "python" (the kernel source un-jitted, for
+    # certifying the kernel path without numba)
+    backend: str = "numpy"
 
     def __post_init__(self) -> None:
-        if self.storage is not None:
-            from ..buffers.storage import STORAGE_ENGINES
+        from ..buffers.storage import resolve_storage
+        from ..nn.backend import resolve_backend
 
-            if self.storage not in STORAGE_ENGINES:
-                raise ValueError(
-                    f"unknown storage engine {self.storage!r}; "
-                    f"expected one of {STORAGE_ENGINES}"
-                )
-        if self.backend is not None:
-            from ..nn.backend import BACKENDS
-
-            if self.backend not in BACKENDS:
-                raise ValueError(
-                    f"unknown backend {self.backend!r}; "
-                    f"expected one of {BACKENDS}"
-                )
+        resolve_storage(self.storage)
+        resolve_backend(self.backend)
         if self.lr <= 0:
             raise ValueError(f"lr must be positive, got {self.lr}")
         if not 0.0 <= self.gamma <= 1.0:
@@ -119,7 +106,7 @@ class MARLConfig:
             raise ValueError(
                 f"env_workers must be >= 0, got {self.env_workers}"
             )
-        if self.replay_shards is not None and self.replay_shards < 1:
+        if self.replay_shards < 1:
             raise ValueError(
                 f"replay_shards must be >= 1, got {self.replay_shards}"
             )
@@ -139,27 +126,6 @@ class MARLConfig:
             raise ValueError(
                 f"gumbel_temperature must be positive, got {self.gumbel_temperature}"
             )
-
-    @property
-    def resolved_storage(self) -> str:
-        """Concrete storage engine after env-var and default fallback."""
-        from ..buffers.storage import resolve_storage
-
-        return resolve_storage(self.storage)
-
-    @property
-    def resolved_backend(self) -> str:
-        """Concrete compute backend after env-var and default fallback."""
-        from ..nn.backend import resolve_backend
-
-        return resolve_backend(self.backend)
-
-    @property
-    def resolved_replay_shards(self) -> int:
-        """Concrete shard count after env-var and default fallback."""
-        from ..replay.sharding import resolve_replay_shards
-
-        return resolve_replay_shards(self.replay_shards)
 
     @property
     def warmup(self) -> int:

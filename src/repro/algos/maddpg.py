@@ -53,7 +53,15 @@ class MADDPGTrainer:
     obs_dims, act_dims:
         Per-agent observation/action widths (heterogeneous allowed).
     config:
-        Hyper-parameters; defaults are the paper's.
+        Hyper-parameters and engine selection; defaults are the paper's.
+        ``fast_path`` puts the attached sampler on the vectorized
+        sampling engine, ``batched_update`` runs update rounds through
+        the stacked-agent
+        :class:`~repro.algos.batched_update.BatchedUpdateEngine`
+        (requires equal obs/act widths across agents), ``storage`` picks
+        the replay storage engine and ``backend`` the batched engine's
+        compute backend — every engine reproduces the scalar
+        agent-major numpy path's reward curves bit-for-bit.
     sampler:
         Mini-batch sampling strategy; default is the uniform baseline
         with the reference per-index gather loop.
@@ -61,33 +69,6 @@ class MADDPGTrainer:
         Attach a :class:`LayoutReorganizer` and sample through the
         timestep-major store (the §IV-B2 optimization).  Mutually
         exclusive with prioritized samplers.
-    fast_path:
-        Enable the vectorized sampling engine on the attached sampler
-        (batched sum-tree descents, fancy-index gathers, run-slice batch
-        assembly).  ``None`` (default) defers to ``config.fast_path``;
-        the scalar loops stay selected unless one of the two asks for
-        the fast path, keeping characterization runs faithful.
-    batched_update:
-        Run update rounds through the stacked-agent
-        :class:`~repro.algos.batched_update.BatchedUpdateEngine` (all N
-        homogeneous agents' network math as ``(N, ., .)`` tensor ops —
-        numerically equivalent to the scalar loop under a shared RNG
-        stream).  ``None`` (default) defers to ``config.batched_update``.
-        Requires equal obs/act widths across agents.
-    storage:
-        Replay storage engine (``"agent_major"`` / ``"timestep_major"``).
-        ``None`` (default) defers to ``config.storage`` and then the
-        ``REPRO_STORAGE`` environment variable.  The timestep-major
-        arena consumes the identical RNG stream and reproduces
-        agent-major reward curves bit-for-bit.
-    backend:
-        Compute backend for the batched update engine: ``"numpy"``
-        (reference) or ``"numba"`` (fused jitted kernels), or a ready
-        :class:`~repro.nn.backend.ComputeBackend` instance.  ``None``
-        (default) defers to ``config.backend`` and then the
-        ``REPRO_BACKEND`` environment variable.  Only consulted by the
-        batched engine — the scalar per-agent loop always runs the
-        reference numpy math.
     seed:
         Seeds network init, exploration, and sampling.
     """
@@ -105,19 +86,13 @@ class MADDPGTrainer:
         sampler: Optional[Sampler] = None,
         use_layout: bool = False,
         layout_mode: str = "eager",
-        fast_path: Optional[bool] = None,
-        batched_update: Optional[bool] = None,
-        storage: Optional[str] = None,
-        backend=None,
         seed: Optional[int] = None,
     ) -> None:
         if len(obs_dims) != len(act_dims) or not obs_dims:
             raise ValueError("obs_dims and act_dims must be equal-length and non-empty")
         self.config = config if config is not None else MARLConfig()
         self.sampler = sampler if sampler is not None else UniformSampler()
-        if fast_path is not None:
-            self.sampler.set_fast_path(fast_path)
-        elif self.config.fast_path:
+        if self.config.fast_path:
             self.sampler.set_fast_path(True)
         self.fast_path = bool(getattr(self.sampler, "fast_path", False))
         self.rng = np.random.default_rng(seed)
@@ -132,17 +107,13 @@ class MADDPGTrainer:
                 "layout reorganization and prioritized sampling are separate "
                 "optimizations in the paper; enable one at a time"
             )
-        self.storage = (
-            storage if storage is not None else self.config.storage
-        )
         self.replay = make_replay(
             self.config,
             obs_dims=obs_dims,
             act_dims=act_dims,
             prioritized=prioritized,
-            storage=self.storage,
         )
-        self.storage = self.replay.storage  # resolved engine name
+        self.storage = self.replay.storage
         self.layout: Optional[LayoutReorganizer] = (
             LayoutReorganizer(self.replay, mode=layout_mode) if use_layout else None
         )
@@ -186,13 +157,8 @@ class MADDPGTrainer:
         # round-scoped caches: shared mini-batch + per-batch derived values
         self._shared_round_batch: Optional[MiniBatch] = None
         self._round_cache: Dict[int, Tuple[MiniBatch, Dict[str, Any]]] = {}
-        if batched_update is not None:
-            self.batched_update = bool(batched_update)
-        else:
-            self.batched_update = bool(self.config.batched_update)
-        self.backend = get_backend(
-            backend if backend is not None else self.config.backend
-        )
+        self.batched_update = self.config.batched_update
+        self.backend = get_backend(self.config.backend)
         self._engine: Optional[BatchedUpdateEngine] = (
             BatchedUpdateEngine(self) if self.batched_update else None
         )
@@ -348,13 +314,7 @@ class MADDPGTrainer:
             return None
         if len(self.replay) < self.config.batch_size:
             return None
-        self.steps_since_update = 0
-        policy_due = self._policy_update_due()
-        beta = self.beta_schedule.step()
-        self.sampler.set_beta(beta)
-        self._shared_round_batch = None
-        self._round_cache = {}
-        self._prefetched_round = {}
+        policy_due = self._begin_round()
         if self._prefetcher is not None:
             # claim last round's background assembly (if still valid),
             # then immediately schedule the next one so it overlaps this
@@ -378,12 +338,53 @@ class MADDPGTrainer:
         self.update_rounds += 1
         return losses
 
-    def _scalar_round(self, policy_due: bool) -> Dict[str, float]:
-        """The paper's characterized per-agent update loop."""
+    def _begin_round(self) -> bool:
+        """Round prologue: reset the cadence counter, step the beta
+        schedule, drop last round's batch caches.  Returns whether this
+        round updates actors and targets."""
+        self.steps_since_update = 0
+        policy_due = self._policy_update_due()
+        self.sampler.set_beta(self.beta_schedule.step())
+        self._shared_round_batch = None
+        self._round_cache = {}
+        self._prefetched_round = {}
+        return policy_due
+
+    def _injected_round(
+        self, batch: MiniBatch, agents: Optional[Sequence[int]] = None
+    ) -> Dict[str, float]:
+        """The service-mode learner's round: the scalar loop over the
+        ``agents`` partition it owns, on one ``batch`` already pulled
+        from the replay service (so neither gate of :meth:`update`
+        applies and the local replay is not touched)."""
+        policy_due = self._begin_round()
+        with self.timer.phase(UPDATE_ALL_TRAINERS):
+            losses = self._scalar_round(policy_due, batch, agents)
+        self.update_rounds += 1
+        return losses
+
+    def _scalar_round(
+        self,
+        policy_due: bool,
+        batch: Optional[MiniBatch] = None,
+        agents: Optional[Sequence[int]] = None,
+    ) -> Dict[str, float]:
+        """The paper's characterized per-agent update loop.
+
+        With an injected ``batch`` every agent in ``agents`` trains on
+        it (the ``shared_batch`` regime: the joint ``[obs‖act]`` critic
+        input is built once) and the sampling phase and the priority
+        write-back — both properties of the local replay — are skipped.
+        Cross-partition coupling rides on the parameter store: the TD
+        target for agent ``i`` consumes every agent's target actor.
+        """
+        owned = range(self.num_agents) if agents is None else agents
+        injected = batch is not None
         losses: Dict[str, float] = {"q_loss": 0.0, "p_loss": 0.0}
-        for i in range(self.num_agents):
-            with self.timer.phase(SAMPLING):
-                batch = self._sample_for(i)
+        for i in owned:
+            if not injected:
+                with self.timer.phase(SAMPLING):
+                    batch = self._sample_for(i)
             with self.timer.phase(TARGET_Q):
                 target_q = self._target_q(i, batch)
             with self.timer.phase(LOSS_UPDATE):
@@ -396,14 +397,15 @@ class MADDPGTrainer:
                     if policy_due
                     else 0.0
                 )
-            self.sampler.update_priorities(self.replay, i, batch, td)
+            if not injected:
+                self.sampler.update_priorities(self.replay, i, batch, td)
             losses["q_loss"] += q_loss
             losses["p_loss"] += p_loss
         if policy_due:
-            for agent in self.agents:
-                agent.soft_update_targets()
-        losses["q_loss"] /= self.num_agents
-        losses["p_loss"] /= self.num_agents
+            for i in owned:
+                self.agents[i].soft_update_targets()
+        losses["q_loss"] /= len(owned)
+        losses["p_loss"] /= len(owned)
         return losses
 
     def _policy_update_due(self) -> bool:

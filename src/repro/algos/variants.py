@@ -60,26 +60,20 @@ def make_sampler(
     *,
     beta: float = 0.4,
     fast_path: bool = False,
-    storage: Optional[str] = None,
 ) -> Optional[Sampler]:
     """Sampler for a variant name; None for layout variants (store-served).
 
-    Option flags (``beta``, ``fast_path``, ``storage``) are
-    keyword-only, so call sites always spell out which engine knob they
-    are turning.
+    Option flags (``beta``, ``fast_path``) are keyword-only, so call
+    sites always spell out which engine knob they are turning.
 
     ``fast_path=True`` builds the variant's sampler on the vectorized
     sampling engine (observably equivalent draws, batched execution);
     the default keeps the paper's characterized scalar loops.
 
-    ``storage`` is validated here for early feedback but samplers are
-    storage-agnostic by design: each draws *indices* (or runs) and
-    gathers through the replay facade, which routes to the configured
-    engine.  The same sampler object serves both layouts.
+    Samplers are storage-agnostic by design: each draws *indices* (or
+    runs) and gathers through the replay facade, which routes to the
+    configured engine.  The same sampler object serves both layouts.
     """
-    from ..buffers.storage import resolve_storage
-
-    resolve_storage(storage)  # validate (engine routing lives in the replay)
     if variant == "baseline":
         return UniformSampler(vectorized=False, fast_path=fast_path)
     if variant == "baseline_vectorized":
@@ -133,16 +127,11 @@ def build_trainer(
     config: Optional[MARLConfig] = None,
     *,
     seed: Optional[int] = None,
-    storage: Optional[str] = None,
-    backend=None,
 ) -> MADDPGTrainer:
     """Construct an algorithm x variant trainer on explicit dimensions.
 
-    ``seed``, ``storage`` and ``backend`` are keyword-only option flags.
-    ``storage`` overrides ``config.storage`` (and the ``REPRO_STORAGE``
-    environment fallback) to pick the replay storage engine; ``backend``
-    overrides ``config.backend`` (and ``REPRO_BACKEND``) to pick the
-    compute backend for the batched update engine.
+    ``config`` is the one selector of every engine (sampling fast path,
+    batched update, storage, compute backend); ``seed`` is keyword-only.
     """
     try:
         trainer_cls = ALGORITHMS[algorithm]
@@ -156,7 +145,6 @@ def build_trainer(
         config.batch_size,
         beta=config.per_beta0,
         fast_path=config.fast_path,
-        storage=storage if storage is not None else config.storage,
     )
     use_layout = variant in ("layout", "layout_lazy")
     return trainer_cls(
@@ -166,7 +154,5 @@ def build_trainer(
         sampler=sampler,
         use_layout=use_layout,
         layout_mode="lazy" if variant == "layout_lazy" else "eager",
-        storage=storage,
-        backend=backend,
         seed=seed,
     )

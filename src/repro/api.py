@@ -10,11 +10,11 @@ reduced to argument parsing plus a call into this module::
     outcome = api.serve(users=500, requests=10_000)
     summary = api.sweep(api.load_sweep_spec("sweeps/smoke.toml"), "registry/")
 
-:func:`train` routes between the three execution engines exactly like
-``repro train``: episode mode (serial, the paper's characterized loop),
-pipeline mode (``steps`` over vectorized copies, optional prefetch
-overlap), and service mode (sharded replay server + learner processes,
-chosen when the config asks for >1 shard or learner).  :func:`execute_run`
+:func:`train` builds one env + trainer and hands them to one of two
+drivers, exactly like ``repro train``: ``episodes`` to the oracle loop
+(serial, the paper's characterized loop), ``steps`` to the step-driven
+default, whose topology (serial, prefetch overlap, sharded replay
+service + learner processes) the config names.  :func:`execute_run`
 is the sweep-child entry point: it materializes one
 :class:`~repro.sweep.spec.RunSpec` into a registry run directory.
 
@@ -83,19 +83,27 @@ def train(
     telemetry=None,
     provenance: Optional[Mapping[str, str]] = None,
     progress_every: Optional[int] = None,
+    checkpoint: Optional[Union[str, Path]] = None,
     verbose: bool = False,
 ) -> RunResult:
     """Train one workload cell; returns its :class:`RunResult`.
 
-    ``steps=None`` runs ``episodes`` serial episodes (default 50);
-    ``steps`` set runs that many vector steps over ``copies`` env
-    copies, through the replay service when ``config`` asks for more
-    than one shard or learner.  ``telemetry`` is a JSONL path or a
+    ``steps=None`` runs ``episodes`` serial episodes (default 50)
+    through :func:`~repro.training.loop.train`, the paper's
+    characterized loop; ``steps`` set runs that many vector steps over
+    ``copies`` env copies through
+    :func:`~repro.training.loop.train_steps`, whose topology (env
+    workers, prefetch, replay shards, learners) ``config`` names.
+    ``telemetry`` is a JSONL path or a
     :class:`~repro.telemetry.TelemetryRecorder`; passing a
     :class:`~repro.configio.ResolvedConfig` (or an explicit
     ``provenance`` mapping) stamps config-field provenance into the
-    run's telemetry manifest.
+    run's telemetry manifest.  ``checkpoint`` is a path the trained
+    trainer is saved to once the driver returns.
     """
+    from .training.loop import train as train_episodes
+    from .training.loop import train_steps
+
     if isinstance(config, ResolvedConfig):
         if provenance is None:
             provenance = config.provenance
@@ -104,103 +112,66 @@ def train(
     if episodes is not None and steps is not None:
         raise ValueError("pass episodes or steps, not both")
     recorder, owned = _make_recorder(telemetry, provenance)
+    env = None
     try:
         if steps is not None:
-            return _train_steps(
-                cfg, algorithm, env_name, num_agents, variant,
-                steps, copies, seed, recorder, verbose,
+            from .algos.variants import build_trainer
+            from .envs.factory import make_vector_env
+
+            env = make_vector_env(
+                env_name, num_agents=num_agents, copies=copies, seed=seed,
+                workers=cfg.env_workers,
             )
-        return _train_episodes(
-            cfg, algorithm, env_name, num_agents, variant,
-            episodes if episodes is not None else 50,
-            seed, recorder, progress_every,
-            verbose,
-        )
+            trainer = build_trainer(
+                algorithm, variant, env.obs_dims, env.act_dims, config=cfg, seed=seed
+            )
+            if verbose:
+                print(
+                    f"training {algorithm}/{env_name}/{num_agents} agents "
+                    f"({variant}) for {steps} vector steps x {copies} copies "
+                    f"[{type(env).__name__}, workers={max(cfg.env_workers, 1)}, "
+                    f"prefetch={'on' if cfg.prefetch else 'off'}, "
+                    f"shards={cfg.replay_shards}, learners={cfg.learners}, "
+                    f"staleness={cfg.param_staleness}]"
+                )
+            result = train_steps(
+                env, trainer, steps,
+                variant=variant, env_name=env_name, seed=seed, telemetry=recorder,
+            )
+        else:
+            from .experiments.runner import build_workload
+            from .experiments.workloads import WorkloadSpec
+
+            episodes = episodes if episodes is not None else 50
+            spec = WorkloadSpec(
+                algorithm=algorithm,
+                env_name=env_name,
+                num_agents=num_agents,
+                variant=variant,
+                episodes=episodes,
+                seed=seed,
+                config=cfg,
+            )
+            env, trainer = build_workload(spec)
+            if verbose:
+                print(f"training {spec.key} for {episodes} episodes ...")
+            if progress_every is None:
+                progress_every = max(episodes // 5, 1) if verbose else episodes + 1
+            result = train_episodes(
+                env, trainer, episodes,
+                variant=variant, env_name=env_name,
+                progress_every=progress_every, telemetry=recorder,
+            )
     finally:
+        if hasattr(env, "close"):
+            env.close()
         if owned:
             recorder.close()
+    if checkpoint is not None:
+        from .algos.checkpoint import save_checkpoint
 
-
-def _train_episodes(
-    cfg, algorithm, env_name, num_agents, variant,
-    episodes, seed, recorder, progress_every, verbose,
-) -> RunResult:
-    from .experiments.runner import run_workload
-    from .experiments.workloads import WorkloadSpec
-
-    spec = WorkloadSpec(
-        algorithm=algorithm,
-        env_name=env_name,
-        num_agents=num_agents,
-        variant=variant,
-        episodes=episodes,
-        seed=seed,
-        config=cfg,
-    )
-    if verbose:
-        print(f"training {spec.key} for {episodes} episodes ...")
-    if progress_every is None:
-        progress_every = max(episodes // 5, 1) if verbose else episodes + 1
-    return run_workload(spec, progress_every=progress_every, telemetry=recorder)
-
-
-def _train_steps(
-    cfg, algorithm, env_name, num_agents, variant,
-    steps, copies, seed, recorder, verbose,
-) -> RunResult:
-    from .algos.variants import build_trainer
-    from .envs.factory import make_vector_env, resolve_env_workers
-
-    service = cfg.resolved_replay_shards > 1 or cfg.learners > 1
-    workers = resolve_env_workers(cfg.env_workers)
-    vec = make_vector_env(
-        env_name, num_agents=num_agents, copies=copies, seed=seed,
-        workers=workers,
-    )
-    try:
-        if verbose:
-            detail = (
-                f"through the replay service [shards={cfg.resolved_replay_shards}, "
-                f"learners={cfg.learners}, staleness={cfg.param_staleness}]"
-                if service
-                else f"[{type(vec).__name__}, workers={max(workers, 1)}, "
-                f"prefetch={'on' if cfg.prefetch else 'off'}]"
-            )
-            print(
-                f"training {algorithm}/{env_name}/{num_agents} agents "
-                f"({variant}) for {steps} vector steps x {copies} copies "
-                f"{detail}"
-            )
-        trainer = build_trainer(
-            algorithm, variant, vec.obs_dims, vec.act_dims,
-            config=cfg, seed=seed,
-        )
-        if service:
-            from .training.service_loop import train_service
-
-            return train_service(
-                vec, trainer, steps,
-                shards=cfg.resolved_replay_shards,
-                learners=cfg.learners,
-                variant=variant,
-                env_name=env_name,
-                staleness=cfg.param_staleness,
-                seed=seed,
-                telemetry=recorder,
-            )
-        from .training.loop import train_steps
-
-        return train_steps(
-            vec, trainer, steps,
-            variant=variant,
-            env_name=env_name,
-            prefetch=cfg.prefetch,
-            prefetch_seed=seed,
-            telemetry=recorder,
-        )
-    finally:
-        if hasattr(vec, "close"):
-            vec.close()
+        save_checkpoint(trainer, str(checkpoint))
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from typing import Optional, Sequence
 from .arena import AGENT_SPLIT, JOINT_GATHER, TransitionArena
 from .kv_layout import KVTransitionStore
 from .multi_agent import MultiAgentReplay
-from .nstep import NStepAccumulator
 from .prioritized import PrioritizedReplayBuffer
 from .replay import PAPER_BUFFER_CAPACITY, ReplayBuffer, validate_batch_fields
 from .storage import (
@@ -55,7 +54,7 @@ def make_replay(
     supplies defaults for ``capacity`` (``buffer_capacity``), ``alpha``
     (``per_alpha``), and ``storage``; every keyword overrides its config
     field.  With no config, defaults match ``MultiAgentReplay``'s own
-    (capacity 1e6, alpha 0.6, storage from ``REPRO_STORAGE``).
+    (capacity 1e6, alpha 0.6, agent-major storage).
 
     >>> replay = make_replay(config, schema=vec_env.schema, storage="timestep_major")
     >>> replay = make_replay(obs_dims=[8, 8], act_dims=[5, 5], prioritized=True)
@@ -71,8 +70,8 @@ def make_replay(
         capacity = config.buffer_capacity if config is not None else 1_000_000
     if alpha is None:
         alpha = config.per_alpha if config is not None else 0.6
-    if storage is None and config is not None:
-        storage = config.storage
+    if storage is None:
+        storage = config.storage if config is not None else "agent_major"
     return MultiAgentReplay(
         obs_dims,
         act_dims,
@@ -98,7 +97,6 @@ __all__ = [
     "AgentMajorStorage",
     "ArenaAgentStorage",
     "KVTransitionStore",
-    "NStepAccumulator",
     "SumTree",
     "MinTree",
     "SegmentTree",

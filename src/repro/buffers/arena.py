@@ -37,7 +37,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..compat import warn_deprecated
 from .transition import JointSchema
 
 __all__ = ["TransitionArena", "JOINT_GATHER", "AGENT_SPLIT"]
@@ -225,19 +224,6 @@ class TransitionArena:
             rows.append(self._values[i])
         return np.array(rows)
 
-    def gather_rows(self, indices: Sequence[int]) -> np.ndarray:
-        """Deprecated alias of ``gather_joint(indices)``."""
-        warn_deprecated("TransitionArena.gather_rows", "gather_joint(indices)")
-        return self.gather_joint(indices)
-
-    def gather_rows_loop(self, indices: Sequence[int]) -> np.ndarray:
-        """Deprecated alias of ``gather_joint(indices, vectorized=False)``."""
-        warn_deprecated(
-            "TransitionArena.gather_rows_loop",
-            "gather_joint(indices, vectorized=False)",
-        )
-        return self.gather_joint(indices, vectorized=False)
-
     def gather_run_rows(self, runs: Sequence) -> np.ndarray:
         """Packed rows for a list of contiguous ``(start, length)`` runs.
 
@@ -311,20 +297,3 @@ class TransitionArena:
         with self._phase(JOINT_GATHER):
             rows = self.gather_joint(indices, runs=runs, vectorized=vectorized)
         return self.split_rows(rows)
-
-    def gather_all_agents(self, indices: Sequence[int]) -> Dict[int, AgentBatchFields]:
-        """Deprecated alias of ``gather_fields(indices)`` (dict-keyed)."""
-        warn_deprecated("TransitionArena.gather_all_agents", "gather_fields(indices)")
-        return dict(enumerate(self.gather_fields(indices)))
-
-    def gather_all_agents_fields(self, indices: Sequence[int]) -> List[AgentBatchFields]:
-        """Deprecated alias of ``gather_fields(indices)``."""
-        warn_deprecated(
-            "TransitionArena.gather_all_agents_fields", "gather_fields(indices)"
-        )
-        return self.gather_fields(indices)
-
-    def gather_runs_fields(self, runs: Sequence) -> List[AgentBatchFields]:
-        """Deprecated alias of ``gather_fields(runs=runs)``."""
-        warn_deprecated("TransitionArena.gather_runs_fields", "gather_fields(runs=runs)")
-        return self.gather_fields(runs=runs)

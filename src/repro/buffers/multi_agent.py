@@ -14,7 +14,6 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..compat import warn_deprecated
 from .arena import TransitionArena
 from .prioritized import PrioritizedReplayBuffer
 from .replay import ReplayBuffer
@@ -44,7 +43,6 @@ class MultiAgentReplay:
         rings, the characterized baseline) or ``"timestep_major"`` (one
         shared packed :class:`~repro.buffers.arena.TransitionArena`,
         with each per-agent buffer holding zero-copy column views).
-        ``None`` defers to the ``REPRO_STORAGE`` environment variable.
     """
 
     def __init__(
@@ -54,7 +52,7 @@ class MultiAgentReplay:
         capacity: int = 1_000_000,
         prioritized: bool = False,
         alpha: float = 0.6,
-        storage: Optional[str] = None,
+        storage: str = "agent_major",
     ) -> None:
         if len(obs_dims) != len(act_dims):
             raise ValueError("obs_dims and act_dims must have equal length")
@@ -219,23 +217,6 @@ class MultiAgentReplay:
             done.append(block[:, s["done"]].ravel())
         return self.ingest((obs, act, rew, next_obs, done))
 
-    def add_batch(
-        self,
-        obs: Sequence[np.ndarray],
-        act: Sequence[np.ndarray],
-        rew: Sequence[np.ndarray],
-        next_obs: Sequence[np.ndarray],
-        done: Sequence[np.ndarray],
-    ) -> int:
-        """Deprecated alias of ``ingest((obs, act, rew, next_obs, done))``."""
-        warn_deprecated("MultiAgentReplay.add_batch", "ingest(batch)")
-        return self.ingest((obs, act, rew, next_obs, done))
-
-    def add_packed_batch(self, rows: np.ndarray) -> int:
-        """Deprecated alias of ``ingest(packed_rows=rows)``."""
-        warn_deprecated("MultiAgentReplay.add_packed_batch", "ingest(packed_rows=rows)")
-        return self.ingest(packed_rows=rows)
-
     def clear(self) -> None:
         for buf in self.buffers:
             buf.clear()
@@ -315,29 +296,6 @@ class MultiAgentReplay:
                 return self.arena.gather_fields(indices)
             return [buf.gather_vectorized(indices) for buf in self.buffers]
         return [buf.gather(indices) for buf in self.buffers]
-
-    def gather_all(
-        self,
-        indices: Sequence[int],
-        vectorized: bool = False,
-        fast_path: Optional[bool] = None,
-    ) -> List[tuple]:
-        """Deprecated alias of ``gather(indices, vectorized=...)``.
-
-        ``fast_path`` (when given) overrides ``vectorized`` — the two
-        spellings were kept in sync historically; the canonical method
-        has only ``vectorized``.
-        """
-        warn_deprecated("MultiAgentReplay.gather_all", "gather(indices, vectorized=...)")
-        fast = vectorized if fast_path is None else fast_path
-        return self.gather(indices, vectorized=fast)
-
-    def gather_runs_all(self, runs: Sequence) -> List[tuple]:
-        """Deprecated alias of ``gather(runs=runs, vectorized=True)``."""
-        warn_deprecated(
-            "MultiAgentReplay.gather_runs_all", "gather(runs=runs, vectorized=True)"
-        )
-        return self.gather(runs=runs, vectorized=True)
 
     def priority_buffer(self, agent_idx: int) -> PrioritizedReplayBuffer:
         """Typed access to a prioritized buffer; raises if not prioritized."""

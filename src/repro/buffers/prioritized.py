@@ -77,8 +77,7 @@ class PrioritizedReplayBuffer(ReplayBuffer):
 
         Tree state matches K sequential :meth:`add` calls: every written
         slot receives ``max_priority ** alpha`` (one level-wise rebuild
-        instead of K leaf-to-root walks).  The deprecated ``add_batch``
-        alias dispatches here, so legacy callers keep the tree updates.
+        instead of K leaf-to-root walks).
         """
         idx = super().ingest(batch)
         scaled = self._max_priority**self.alpha

@@ -33,7 +33,6 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from ..compat import warn_deprecated
 from .storage import AgentMajorStorage
 from .transition import TransitionSchema
 
@@ -162,18 +161,6 @@ class ReplayBuffer:
         self._next_idx = (self._next_idx + k) % self.capacity
         self._size = min(self._size + k, self.capacity)
         return idx
-
-    def add_batch(
-        self,
-        obs: np.ndarray,
-        act: np.ndarray,
-        rew: np.ndarray,
-        next_obs: np.ndarray,
-        done: np.ndarray,
-    ) -> np.ndarray:
-        """Deprecated alias of ``ingest((obs, act, rew, next_obs, done))``."""
-        warn_deprecated("ReplayBuffer.add_batch", "ingest(batch)")
-        return self.ingest((obs, act, rew, next_obs, done))
 
     def clear(self) -> None:
         self._next_idx = 0

@@ -18,14 +18,12 @@ shapes ``(capacity, dim)`` / ``(capacity,)``), so every front-end code
 path — faithful scalar gathers, vectorized gathers, run slices, ring
 writes — is backend-agnostic and byte-equivalent across engines.
 
-``REPRO_STORAGE`` (environment) overrides the engine default, letting
-CI exercise the full test matrix on both engines without code changes.
+The engine is selected by ``MARLConfig.storage`` (the ``REPRO_STORAGE``
+environment variable reaches it through
+:func:`repro.configio.resolve_config`, like every other field).
 """
 
 from __future__ import annotations
-
-import os
-from typing import Optional
 
 import numpy as np
 
@@ -42,14 +40,8 @@ __all__ = [
 STORAGE_ENGINES = ("agent_major", "timestep_major")
 
 
-def resolve_storage(storage: Optional[str]) -> str:
-    """Resolve a storage selection to a concrete engine name.
-
-    ``None`` falls back to the ``REPRO_STORAGE`` environment variable,
-    then to ``agent_major`` (the characterized baseline).
-    """
-    if storage is None:
-        storage = os.environ.get("REPRO_STORAGE") or "agent_major"
+def resolve_storage(storage: str) -> str:
+    """Validate a storage engine name and return it."""
     if storage not in STORAGE_ENGINES:
         raise ValueError(
             f"unknown storage engine {storage!r}; expected one of {STORAGE_ENGINES}"

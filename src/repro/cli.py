@@ -434,13 +434,13 @@ def _cmd_train(args) -> int:
         copies=args.copies,
         seed=args.seed,
         telemetry=args.telemetry,
+        checkpoint=args.checkpoint,
         verbose=True,
     )
     if args.telemetry is not None:
         print(f"telemetry written to {args.telemetry}")
-    cfg = resolved.config
     if args.steps is not None:
-        service = cfg.resolved_replay_shards > 1 or cfg.learners > 1
+        service = "learner_rounds" in result.extra
         print(
             f"done: {result.total_seconds:.1f}s, {result.update_rounds} update rounds, "
             f"{result.extra['transitions']:.0f} transitions "
@@ -451,7 +451,7 @@ def _cmd_train(args) -> int:
                 else ""
             )
         )
-        if cfg.prefetch and "prefetch_hits" in result.extra:
+        if "prefetch_hits" in result.extra:
             print(
                 f"prefetch: {result.extra['prefetch_hits']:.0f} hits / "
                 f"{result.extra['prefetch_misses']:.0f} misses / "
@@ -459,7 +459,7 @@ def _cmd_train(args) -> int:
                 f"overlap fraction {result.extra['overlap_fraction']:.2f} "
                 f"({result.extra['hidden_sampling_seconds'] * 1e3:.1f}ms sampling hidden)"
             )
-        if "learner_rounds" in result.extra:
+        if service:
             print(
                 f"service: {result.extra['learner_rounds']:.0f} learner rounds, "
                 f"{result.extra['sampled_rows']:.0f} rows sampled "
@@ -488,27 +488,6 @@ def _cmd_train(args) -> int:
         result.to_json(args.save_json)
         print(f"result written to {args.save_json}")
     if args.checkpoint:
-        from .algos.checkpoint import save_checkpoint
-        from .experiments.runner import build_workload
-        from .experiments.workloads import WorkloadSpec
-
-        spec = WorkloadSpec(
-            algorithm=args.algorithm,
-            env_name=args.env,
-            num_agents=args.agents,
-            variant=args.variant,
-            episodes=args.episodes,
-            seed=args.seed,
-            config=cfg,
-        )
-        # rebuild to get the trainer (run_workload discards it); retrain
-        # is avoided by checkpointing from a fresh build only when asked
-        env, trainer = build_workload(spec)
-        print(
-            f"note: --checkpoint with the train command stores the freshly "
-            f"initialized trainer topology; use the API for mid-run checkpoints"
-        )
-        save_checkpoint(trainer, args.checkpoint)
         print(f"checkpoint written to {args.checkpoint}")
     return 0
 
@@ -553,9 +532,10 @@ def _cmd_sample(args) -> int:
     obs_dims = env_obs_dims(args.env, args.agents)
     act_dims = [5] * args.agents
     rng = np.random.default_rng(args.seed)
+    storage = resolve_config(cli_overrides={"storage": args.storage}).config.storage
 
     replay = MultiAgentReplay(
-        obs_dims, act_dims, capacity=args.rows, storage=args.storage
+        obs_dims, act_dims, capacity=args.rows, storage=storage
     )
     fill_replay(replay, rng, args.rows)
     preplay = MultiAgentReplay(
@@ -563,7 +543,7 @@ def _cmd_sample(args) -> int:
         act_dims,
         capacity=args.rows,
         prioritized=True,
-        storage=args.storage,
+        storage=storage,
     )
     fill_replay(preplay, rng, args.rows)
     for i in range(args.agents):
@@ -711,7 +691,7 @@ def _cmd_serve(args) -> int:
         open_rate=args.open_rate,
         duration=args.duration,
         publish_every_ms=args.publish_every_ms,
-        backend=args.backend,
+        backend=resolve_config(cli_overrides={"backend": args.backend}).config.backend,
         seed=args.seed,
     )
     s = outcome.summary

@@ -1,14 +1,8 @@
 """Unified configuration resolution: one documented precedence chain.
 
-Before this module, every runtime knob resolved its own override at its
-own call site: ``REPRO_STORAGE`` inside ``resolve_storage``,
-``REPRO_BACKEND`` inside ``resolve_backend``, ``REPRO_ENV_WORKERS`` in
-``envs.factory``, ``REPRO_REPLAY_SHARDS`` in ``replay.sharding`` — each
-with its own "explicit argument wins" rule and no record of *which*
-source supplied the value a run actually used.
-
-:func:`resolve_config` replaces those ad-hoc lookups with one chain,
-applied per field of :class:`~repro.algos.config.MARLConfig`::
+This module is the only place the program reads ``os.environ``.
+:func:`resolve_config` applies one chain per field of
+:class:`~repro.algos.config.MARLConfig`::
 
     CLI override  >  REPRO_<FIELD> env var  >  spec file  >  defaults
 
@@ -16,16 +10,13 @@ and returns a :class:`ResolvedConfig` carrying both the concrete
 ``MARLConfig`` and a ``provenance`` mapping (field name → source tag)
 that the telemetry :class:`~repro.telemetry.records.RunManifest`
 records, so every measurement names where each knob came from.
+Everything below the edge (trainers, replay, env factory, backends)
+takes plain values from that config and never consults the environment.
 
 Source tags are ``"cli"``, ``"env:REPRO_X"``, ``"file:<path>"``, and
 ``"default"``.  Every ``MARLConfig`` field is overridable from the
-environment as ``REPRO_<FIELD_NAME_UPPERCASED>`` — the four legacy
-variables (``REPRO_STORAGE``, ``REPRO_BACKEND``, ``REPRO_ENV_WORKERS``,
-``REPRO_REPLAY_SHARDS``) are exactly this rule applied to their fields,
-so nothing changes for existing users.  The low-level per-site
-resolvers remain as *late* fallbacks for fields left at ``None``
-(deferred resolution keeps working for direct library users who never
-call :func:`resolve_config`).
+environment as ``REPRO_<FIELD_NAME_UPPERCASED>`` (``REPRO_STORAGE``,
+``REPRO_BACKEND``, ``REPRO_ENV_WORKERS``, ``REPRO_REPLAY_SHARDS``, ...).
 
 Spec files are TOML (stdlib ``tomllib``) or JSON, selected by
 extension; the config table lives at the top level or under a

@@ -9,7 +9,7 @@ paper's quoted spaces (PP-3: Box(16)/Box(14); CN-N: Box(6N)).
 
 from .core import Action, Agent, AgentState, Entity, EntityState, Landmark, World, is_collision
 from .environment import NUM_MOVEMENT_ACTIONS, MultiAgentEnv
-from .factory import make_env_factories, make_vector_env, resolve_env_workers
+from .factory import make_env_factories, make_vector_env
 from .parallel import ParallelVectorEnv, WorkerCrashError
 from .prey_policy import FleePolicy, make_prey_callback
 from .registry import available_envs, make, register
@@ -21,7 +21,6 @@ from .scenarios.physical_deception import PhysicalDeceptionScenario
 from .scenarios.predator_prey import PredatorPreyScenario, default_prey_counts
 from .spaces import Box, Discrete
 from .vector import SyncVectorEnv
-from .wrappers import EnvWrapper, EpisodeStatistics, NormalizeObservations, ScaleRewards
 
 __all__ = [
     "World",
@@ -54,9 +53,4 @@ __all__ = [
     "WorkerCrashError",
     "make_env_factories",
     "make_vector_env",
-    "resolve_env_workers",
-    "EnvWrapper",
-    "NormalizeObservations",
-    "ScaleRewards",
-    "EpisodeStatistics",
 ]

@@ -13,15 +13,13 @@ that, and is the single switch between the single-process
 * ``workers >= 2`` → ``ParallelVectorEnv`` with that many worker
   processes.
 
-When ``workers`` is ``None`` the ``REPRO_ENV_WORKERS`` environment
-variable supplies the default (itself defaulting to 0/serial), which is
-how CI reruns the collection/loop test subset against the parallel
-engine without touching the tests.
+Callers pass ``MARLConfig.env_workers`` (the ``REPRO_ENV_WORKERS``
+environment variable reaches that field through
+:func:`repro.configio.resolve_config`).
 """
 
 from __future__ import annotations
 
-import os
 from typing import Callable, List, Optional, Union
 
 from .environment import MultiAgentEnv
@@ -29,26 +27,7 @@ from .parallel import ParallelVectorEnv
 from .registry import make
 from .vector import SyncVectorEnv
 
-__all__ = ["make_env_factories", "make_vector_env", "resolve_env_workers"]
-
-#: environment variable supplying the default worker count
-ENV_WORKERS_VAR = "REPRO_ENV_WORKERS"
-
-
-def resolve_env_workers(workers: Optional[int] = None) -> int:
-    """Explicit worker count, or the ``REPRO_ENV_WORKERS`` default (0)."""
-    if workers is not None:
-        return int(workers)
-    raw = os.environ.get(ENV_WORKERS_VAR, "").strip()
-    if not raw:
-        return 0
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(
-            f"{ENV_WORKERS_VAR} must be an integer, got {raw!r}"
-        ) from None
-
+__all__ = ["make_env_factories", "make_vector_env"]
 
 def make_env_factories(
     env_name: str,
@@ -81,7 +60,7 @@ def make_vector_env(
     num_agents: int,
     copies: int,
     seed: Optional[int] = 0,
-    workers: Optional[int] = None,
+    workers: int = 0,
     max_restarts: int = 0,
     **env_kwargs,
 ) -> Union[SyncVectorEnv, ParallelVectorEnv]:
@@ -92,7 +71,6 @@ def make_vector_env(
     ``max_episode_len``).
     """
     factories = make_env_factories(env_name, num_agents, copies, seed, **env_kwargs)
-    resolved = resolve_env_workers(workers)
-    if resolved <= 1:
+    if workers <= 1:
         return SyncVectorEnv(factories)
-    return ParallelVectorEnv(factories, num_workers=resolved, max_restarts=max_restarts)
+    return ParallelVectorEnv(factories, num_workers=workers, max_restarts=max_restarts)

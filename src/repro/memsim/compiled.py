@@ -215,8 +215,8 @@ def make_hierarchy(
 ) -> Union[MemoryHierarchy, CompiledMemoryHierarchy]:
     """Backend-aware hierarchy factory.
 
-    ``backend`` follows the compute-backend resolution order (explicit
-    name or instance, else ``REPRO_BACKEND``, else numpy).  The numpy
+    ``backend`` is a compute-backend name or instance (``None`` is
+    numpy), as :func:`~repro.nn.backend.get_backend` takes it.  The numpy
     backend carries no kernels, so callers get the OrderedDict reference
     simulator — behaviour identical to constructing
     :class:`MemoryHierarchy` directly.  Kernel-carrying backends get the

@@ -48,7 +48,6 @@ from .layers import (
 from .losses import huber_loss, mse_loss, weighted_mse_loss
 from .mlp import PAPER_HIDDEN_UNITS, actor_mlp, critic_mlp, mlp
 from .module import Module, Parameter
-from .normalizer import RunningNormalizer
 from .optim import SGD, Adam, Optimizer, clip_grad_norm
 from .stacked import (
     StackedLinear,
@@ -69,7 +68,6 @@ __all__ = [
     "resolve_backend",
     "Module",
     "Parameter",
-    "RunningNormalizer",
     "Linear",
     "ReLU",
     "LeakyReLU",

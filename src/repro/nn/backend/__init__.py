@@ -10,18 +10,19 @@ compiled execution on top of it:
   the stacked update round (forward/backward/TD/losses/Adam/Polyak)
   and the memsim trace loop.  Degrades to numpy with a single warning
   when numba is not installed.
+* ``python``: the same kernel source executed un-jitted
+  (:func:`kernel_backend`) — how the kernel path is certified and
+  benchmark-gated on machines without numba.
 
-Selection order (mirrors replay-storage selection): explicit argument
-→ ``MARLConfig.backend`` → ``REPRO_BACKEND`` environment variable →
-``"numpy"``.  ``get_backend`` also passes a ready
-:class:`ComputeBackend` instance straight through, which is how tests
-inject the python-mode kernel backend.
+Trainers select by ``MARLConfig.backend`` (default ``"numpy"``; the
+``REPRO_BACKEND`` environment variable reaches that field through
+:func:`repro.configio.resolve_config`).  ``get_backend`` also passes a
+ready :class:`ComputeBackend` instance straight through.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Optional, Union
+from typing import Union
 
 from .base import ComputeBackend, KernelSet
 from .kernels import KERNEL_NAMES
@@ -40,19 +41,14 @@ __all__ = [
     "warmup_kernels",
 ]
 
-#: Names accepted by config/CLI/env backend selection.
-BACKENDS = ("numpy", "numba")
+#: Names accepted by config/env backend selection.
+BACKENDS = ("numpy", "numba", "python")
 
 _NUMPY_BACKEND = ComputeBackend(name="numpy")
 
 
-def resolve_backend(backend: Optional[str] = None) -> str:
-    """Resolve a backend name: argument → ``REPRO_BACKEND`` → numpy.
-
-    Raises ``ValueError`` for names outside :data:`BACKENDS`.
-    """
-    if backend is None:
-        backend = os.environ.get("REPRO_BACKEND") or "numpy"
+def resolve_backend(backend: str) -> str:
+    """Validate a backend name (one of :data:`BACKENDS`) and return it."""
     if backend not in BACKENDS:
         raise ValueError(
             f"unknown backend {backend!r}; expected one of {BACKENDS}"
@@ -70,16 +66,18 @@ def get_backend(
 ) -> ComputeBackend:
     """Resolve and build the selected compute backend.
 
-    Accepts a name (``"numpy"``/``"numba"``), ``None`` (environment
-    then numpy), or a ready :class:`ComputeBackend` passed through
-    unchanged.  A ``numba`` request on a machine without numba returns
+    Accepts a name (one of :data:`BACKENDS`), ``None`` (numpy), or a
+    ready :class:`ComputeBackend` passed through unchanged.  A
+    ``numba`` request on a machine without numba returns
     the numpy fallback with provenance recorded (warned once).
     """
     if isinstance(backend, ComputeBackend):
         return backend
-    name = resolve_backend(backend)
+    name = resolve_backend("numpy" if backend is None else backend)
     if name == "numba":
         return numba_backend()
+    if name == "python":
+        return kernel_backend()
     return numpy_backend()
 
 

@@ -42,8 +42,7 @@ def kernel_backend(jitted: bool = False) -> ComputeBackend:
 
     Python mode runs the exact compiled-path semantics without numba;
     it is how the kernels are tested and benchmark-gated on numba-free
-    machines.  Not reachable from config/CLI selection — construct it
-    programmatically (tests, benches).
+    machines (``MARLConfig(backend="python")``).
     """
     global _PYTHON_KERNELS
     if jitted:

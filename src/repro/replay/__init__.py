@@ -20,7 +20,7 @@ malib's ``offline_dataset_server`` push/pull design):
   rounds off the service, merges parameters and telemetry at stop.
 """
 
-from .coordinator import MultiLearnerCoordinator, minibatch_from_rows, run_injected_round
+from .coordinator import MultiLearnerCoordinator, minibatch_from_rows
 from .params import (
     ParameterStore,
     ParameterSubscriber,
@@ -29,19 +29,16 @@ from .params import (
 )
 from .service import ReplayShardService, ShardPullClient
 from .sharding import (
-    REPLAY_SHARDS_VAR,
     SHARD_POLICIES,
     ShardedReplay,
     ShardRouter,
     allocate_proportional,
-    resolve_replay_shards,
     rows_in_order,
 )
 
 __all__ = [
     "MultiLearnerCoordinator",
     "ParameterStore",
-    "REPLAY_SHARDS_VAR",
     "ParameterSubscriber",
     "ReplayShardService",
     "SHARD_POLICIES",
@@ -52,7 +49,5 @@ __all__ = [
     "agent_param_arrays",
     "allocate_proportional",
     "minibatch_from_rows",
-    "resolve_replay_shards",
     "rows_in_order",
-    "run_injected_round",
 ]

@@ -4,17 +4,12 @@
 learner processes (learner ``l`` owns agents ``l, l+L, l+2L, ...``).
 Each learner repeatedly: polls peers' latest actor/target-actor
 snapshots from the parameter store, pulls one joint mini-batch from the
-replay service, runs :func:`run_injected_round` over its owned agents,
-and publishes its owned agents' new snapshots — free-running, with no
-barrier against the rollout producer or the other learners.
-
-:func:`run_injected_round` is the service-mode twin of
-``MADDPGTrainer.update()``'s scalar round: same per-agent phase
-structure (``target_q`` → ``loss_update``), same beta schedule step,
-same delayed-policy/soft-update cadence — but the mini-batch is
-*injected* (already pulled from the service) instead of drawn from the
-trainer's local replay, and the agent loop covers only the owned
-partition.  Cross-partition coupling rides entirely on the parameter
+replay service, runs the trainer's own update round on it
+(``trainer._injected_round(batch, owned)`` — the scalar round over the
+owned partition, the mini-batch *injected* instead of drawn from the
+trainer's local replay), and publishes its owned agents' new snapshots —
+free-running, with no barrier against the rollout producer or the other
+learners.  Cross-partition coupling rides entirely on the parameter
 store: the TD target for agent ``i`` consumes every agent's target
 actor, which is exactly the broadcast payload
 (:func:`~repro.replay.params.agent_param_arrays`).
@@ -30,15 +25,14 @@ from __future__ import annotations
 
 import time
 from multiprocessing import get_context
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List
 
 import numpy as np
 
 from ..core.batch import AgentBatch, MiniBatch
-from ..profiling.phases import LOSS_UPDATE, TARGET_Q, UPDATE_ALL_TRAINERS
 from .params import ParameterSubscriber, agent_param_arrays
 
-__all__ = ["MultiLearnerCoordinator", "minibatch_from_rows", "run_injected_round"]
+__all__ = ["MultiLearnerCoordinator", "minibatch_from_rows"]
 
 #: networks a learner ships home at stop (present ones only; MATD3 twins)
 _NET_NAMES = (
@@ -67,54 +61,6 @@ def minibatch_from_rows(schema, rows: np.ndarray) -> MiniBatch:
     )
 
 
-def run_injected_round(
-    trainer,
-    batch: MiniBatch,
-    agents: Optional[Sequence[int]] = None,
-    policy_due: Optional[bool] = None,
-) -> Dict[str, float]:
-    """One update round over ``agents`` on an injected mini-batch.
-
-    Mirrors the scalar round of ``MADDPGTrainer.update()`` minus the
-    cadence/fill gates and the sampling phase; all owned agents share
-    the one injected batch (the ``shared_batch`` regime), so the joint
-    ``[obs‖act]`` critic input is built once per round.
-    """
-    owned = list(range(trainer.num_agents)) if agents is None else list(agents)
-    if policy_due is None:
-        policy_due = trainer._policy_update_due()
-    trainer.steps_since_update = 0
-    beta = trainer.beta_schedule.step()
-    trainer.sampler.set_beta(beta)
-    trainer._shared_round_batch = None
-    trainer._round_cache = {}
-    trainer._prefetched_round = {}
-    losses: Dict[str, float] = {"q_loss": 0.0, "p_loss": 0.0}
-    with trainer.timer.phase(UPDATE_ALL_TRAINERS):
-        for i in owned:
-            with trainer.timer.phase(TARGET_Q):
-                target_q = trainer._target_q(i, batch)
-            with trainer.timer.phase(LOSS_UPDATE):
-                critic_x = trainer._critic_input_cached(batch)
-                q_loss, td = trainer._update_critic(
-                    i, batch, target_q, critic_x=critic_x
-                )
-                p_loss = (
-                    trainer._update_actor(i, batch, critic_x=critic_x)
-                    if policy_due
-                    else 0.0
-                )
-            losses["q_loss"] += q_loss
-            losses["p_loss"] += p_loss
-        if policy_due:
-            for i in owned:
-                trainer.agents[i].soft_update_targets()
-    trainer.update_rounds += 1
-    losses["q_loss"] /= max(len(owned), 1)
-    losses["p_loss"] /= max(len(owned), 1)
-    return losses
-
-
 def _agent_state(agent) -> Dict[str, List[np.ndarray]]:
     state = {}
     for name in _NET_NAMES:
@@ -140,7 +86,6 @@ def _learner_main(
     peers: List[int],
     batch_size: int,
     warmup: int,
-    max_rounds: Optional[int],
     stop_event,
     conn,
     seed: int,
@@ -157,8 +102,6 @@ def _learner_main(
         start = time.perf_counter()
         q_loss = p_loss = 0.0
         while not stop_event.is_set():
-            if max_rounds is not None and rounds >= max_rounds:
-                break
             if pull.total_size() < warmup:
                 pull.refresh_sizes()
                 if pull.total_size() < warmup:
@@ -168,7 +111,7 @@ def _learner_main(
             subscriber.poll()
             rows = pull.sample_rows(batch_size)
             batch = minibatch_from_rows(trainer.replay.schema, rows)
-            losses = run_injected_round(trainer, batch, agents=owned)
+            losses = trainer._injected_round(batch, owned)
             for p in owned:
                 store.publish(p, agent_param_arrays(trainer.agents[p]))
             rounds += 1
@@ -212,9 +155,6 @@ class MultiLearnerCoordinator:
         service,
         store,
         num_learners: int,
-        batch_size: Optional[int] = None,
-        warmup: Optional[int] = None,
-        max_rounds: Optional[int] = None,
         seed: int = 0,
     ) -> None:
         if num_learners < 1:
@@ -225,13 +165,8 @@ class MultiLearnerCoordinator:
         self.service = service
         self.store = store
         self.num_learners = int(num_learners)
-        self.batch_size = int(batch_size or trainer.config.batch_size)
-        self.warmup = int(
-            warmup
-            if warmup is not None
-            else max(trainer.config.warmup, self.batch_size)
-        )
-        self.max_rounds = max_rounds
+        self.batch_size = trainer.config.batch_size
+        self.warmup = max(trainer.config.warmup, self.batch_size)
         self.seed = int(seed)
         #: learner l owns agents l, l+L, l+2L, ...
         self.partitions: List[List[int]] = [
@@ -272,7 +207,6 @@ class MultiLearnerCoordinator:
                     peers,
                     self.batch_size,
                     self.warmup,
-                    self.max_rounds,
                     self._stop,
                     child_conn,
                     self.seed,

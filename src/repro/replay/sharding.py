@@ -17,8 +17,7 @@ ring cursors, and convert to/from a single-arena replay
 
 from __future__ import annotations
 
-import os
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -26,38 +25,14 @@ from ..buffers.multi_agent import MultiAgentReplay
 from ..buffers.transition import JointSchema
 
 __all__ = [
-    "REPLAY_SHARDS_VAR",
     "SHARD_POLICIES",
     "ShardRouter",
     "ShardedReplay",
     "allocate_proportional",
-    "resolve_replay_shards",
     "rows_in_order",
 ]
 
-#: environment override consulted when no explicit shard count is given
-REPLAY_SHARDS_VAR = "REPRO_REPLAY_SHARDS"
-
 SHARD_POLICIES = ("round_robin", "hash")
-
-
-def resolve_replay_shards(shards: Optional[int] = None) -> int:
-    """Resolve a shard count: explicit arg → ``REPRO_REPLAY_SHARDS`` → 1."""
-    if shards is not None:
-        value = int(shards)
-    else:
-        raw = os.environ.get(REPLAY_SHARDS_VAR, "").strip()
-        if not raw:
-            return 1
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ValueError(
-                f"{REPLAY_SHARDS_VAR} must be an integer, got {raw!r}"
-            ) from None
-    if value < 1:
-        raise ValueError(f"replay shard count must be >= 1, got {value}")
-    return value
 
 
 def _mix64(x: np.ndarray) -> np.ndarray:
@@ -164,7 +139,7 @@ class ShardedReplay:
     sum-tree is a global structure over one index space, and splitting
     it across shards changes the sampling distribution.  Orchestration
     layers route PER configs through the single-shard guard instead
-    (see :func:`repro.training.service_loop.train_service`).
+    (see :func:`repro.training.loop.train_steps`).
     """
 
     def __init__(

@@ -3,7 +3,6 @@
 from .batched import collect_steps
 from .evaluation import CurveComparison, compare_curves, evaluate_policy
 from .loop import run_episode, train, train_steps
-from .service_loop import train_service
 from .metrics import EpisodeMetrics, MetricsCollector, run_episode_with_metrics
 from .prefetch import PrefetchPipeline
 from .results import RunResult, smooth_curve
@@ -12,7 +11,6 @@ from .seeding import SeedBundle, derive_seeds
 __all__ = [
     "train",
     "train_steps",
-    "train_service",
     "run_episode",
     "collect_steps",
     "PrefetchPipeline",

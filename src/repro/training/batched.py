@@ -1,34 +1,49 @@
 """Batched experience collection over vectorized environments.
 
-Pairs a vector env (:class:`~repro.envs.vector.SyncVectorEnv` or the
-process-parallel :class:`~repro.envs.parallel.ParallelVectorEnv`) with a
-trainer: action selection runs ONE batched actor forward per agent for
-all K copies (amortizing the phase the paper offloads to the GPU), and
-each step's K transitions are ingested through the trainer's vectorized
-:meth:`~repro.algos.maddpg.MADDPGTrainer.experience_batch` entry point.
-Ingestion is chunked at update-trigger boundaries, so the replay
-contents, the update cadence, and every RNG draw are identical to the
-K-sequential-``experience``-calls stream — without K Python-level
-buffer round-trips per step.
+:func:`collect_steps` is the one sweep body of the step-driven driver:
+action selection runs ONE batched actor forward per agent for all K
+copies (amortizing the phase the paper offloads to the GPU), the vector
+env (:class:`~repro.envs.vector.SyncVectorEnv` or the process-parallel
+:class:`~repro.envs.parallel.ParallelVectorEnv`) advances every copy,
+and the sweep's K transitions are handed off.  Two hand-offs exist:
+
+* :class:`LocalHandoff` — ingest into the trainer's own replay through
+  :meth:`~repro.algos.maddpg.MADDPGTrainer.experience_batch` /
+  :meth:`~repro.algos.maddpg.MADDPGTrainer.experience_packed`, chunked
+  at update-trigger boundaries, so the replay contents, the update
+  cadence, and every RNG draw are identical to the
+  K-sequential-``experience``-calls stream — without K Python-level
+  buffer round-trips per step.
+* :class:`ServiceHandoff` — push the sweep's packed rows to the
+  :class:`~repro.replay.service.ReplayShardService`, whose L learner
+  processes update free-running, and refresh the rollout actors from the
+  :class:`~repro.replay.params.SharedParameterStore` under the
+  configured staleness bound.
 
 When the env exposes packed joint-schema transitions (the parallel
-engine's shared-memory block) and the replay ring is arena-backed, whole
-steps are ingested as packed rows
-(:meth:`~repro.algos.maddpg.MADDPGTrainer.experience_packed`): the
-workers' shared-memory writes land in replay storage with one
-fancy-index row copy and no per-field splitting.
+engine's shared-memory block) a hand-off that can take them verbatim
+receives whole sweeps as packed rows: the workers' shared-memory writes
+land in replay storage with one fancy-index row copy and no per-field
+splitting.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from ..algos.maddpg import MADDPGTrainer
-from ..profiling.phases import ACTION_SELECTION, ENV_STEP
+from ..profiling.phases import ACTION_SELECTION, ENV_STEP, PARAM_REFRESH, SERVICE_PUSH
+from ..replay.coordinator import MultiLearnerCoordinator
+from ..replay.params import ParameterSubscriber, SharedParameterStore, agent_param_arrays
+from ..replay.service import ReplayShardService
 
-__all__ = ["collect_steps"]
+__all__ = ["collect_steps", "LocalHandoff", "ServiceHandoff"]
+
+#: one sweep's K transitions: packed joint-schema rows, or the per-agent
+#: ``(obs, act, rew, next_obs, done)`` field stacks
+SweepBatch = Union[np.ndarray, Tuple[List[np.ndarray], ...]]
 
 
 def _ingest_chunk_bounds(trainer: MADDPGTrainer, total: int, pos: int) -> int:
@@ -44,46 +59,6 @@ def _ingest_chunk_bounds(trainer: MADDPGTrainer, total: int, pos: int) -> int:
     until_cadence = config.update_every - trainer.steps_since_update
     until_fill = need - len(trainer.replay)
     return min(total - pos, max(until_cadence, until_fill, 1))
-
-
-def _ingest_chunked(
-    trainer: MADDPGTrainer,
-    obs: List[np.ndarray],
-    act: List[np.ndarray],
-    rew: List[np.ndarray],
-    next_obs: List[np.ndarray],
-    done: List[np.ndarray],
-) -> int:
-    """Store K transitions and run updates exactly where the sequential
-    store-one/update-once loop would."""
-    total = rew[0].shape[0]
-    pos = 0
-    while pos < total:
-        take = _ingest_chunk_bounds(trainer, total, pos)
-        end = pos + take
-        trainer.experience_batch(
-            [o[pos:end] for o in obs],
-            [a[pos:end] for a in act],
-            [r[pos:end] for r in rew],
-            [no[pos:end] for no in next_obs],
-            [d[pos:end] for d in done],
-        )
-        trainer.update()
-        pos = end
-    return total
-
-
-def _ingest_chunked_packed(trainer: MADDPGTrainer, rows: np.ndarray) -> int:
-    """Packed-row twin of :func:`_ingest_chunked` (same trigger points)."""
-    total = rows.shape[0]
-    pos = 0
-    while pos < total:
-        take = _ingest_chunk_bounds(trainer, total, pos)
-        end = pos + take
-        trainer.experience_packed(rows[pos:end])
-        trainer.update()
-        pos = end
-    return total
 
 
 def _use_packed_ingest(vec_env, trainer: MADDPGTrainer) -> bool:
@@ -102,21 +77,160 @@ def _use_packed_ingest(vec_env, trainer: MADDPGTrainer) -> bool:
     return arena is not None and arena.schema == trainer.replay.schema == vec_env.schema
 
 
+class LocalHandoff:
+    """Store each sweep in the trainer's replay and update at the paper's
+    cadence — exactly where the sequential store-one/update-once loop
+    would."""
+
+    def __init__(self, vec_env, trainer: MADDPGTrainer) -> None:
+        self.trainer = trainer
+        self.packed = _use_packed_ingest(vec_env, trainer)
+
+    def __call__(self, sweep: int, batch: SweepBatch) -> int:
+        trainer = self.trainer
+        total = batch.shape[0] if self.packed else batch[2][0].shape[0]
+        pos = 0
+        while pos < total:
+            end = pos + _ingest_chunk_bounds(trainer, total, pos)
+            if self.packed:
+                trainer.experience_packed(batch[pos:end])
+            else:
+                trainer.experience_batch(
+                    *([x[pos:end] for x in field] for field in batch)
+                )
+            trainer.update()
+            pos = end
+        return total
+
+
+class ServiceHandoff:
+    """Push each sweep to the sharded replay service; learners update.
+
+    A context manager owning the service topology read from
+    ``trainer.config``: ``replay_shards`` shard servers, ``learners``
+    learner processes over disjoint agent partitions, and the rollout
+    actors' subscription to the parameter store, re-polled every
+    ``param_staleness`` sweeps.  Leaving the context stops the learners,
+    merges their parameters, round counts and ``learner.*`` phase totals
+    into the trainer, and releases every shared-memory segment.
+    """
+
+    def __init__(self, vec_env, trainer: MADDPGTrainer, seed: int = 0) -> None:
+        config = trainer.config
+        self.trainer = trainer
+        self.packed = hasattr(vec_env, "packed_transitions")
+        self.staleness = config.param_staleness
+        self.service = ReplayShardService(
+            trainer.obs_dims,
+            trainer.act_dims,
+            capacity=config.buffer_capacity,
+            num_shards=config.replay_shards,
+            num_clients=min(config.learners, trainer.num_agents),
+            max_push=max(vec_env.num_envs, 1),
+            max_batch=config.batch_size,
+            seed=seed,
+        )
+        self.store = SharedParameterStore.for_agents(trainer.agents)
+        self.coordinator = MultiLearnerCoordinator(
+            trainer, self.service, self.store, config.learners, seed=seed + 1
+        )
+        # the producer's own actor copies refresh from the same store the
+        # learners publish into — every agent is a subscribed partition
+        self.subscriber = ParameterSubscriber(
+            self.store,
+            {p: agent_param_arrays(agent) for p, agent in enumerate(trainer.agents)},
+        )
+        self.merge: Optional[Dict] = None
+        self.shard_stats: List[Dict] = []
+
+    def __enter__(self) -> "ServiceHandoff":
+        try:
+            self.coordinator.start()
+        except BaseException:
+            self.__exit__()
+            raise
+        return self
+
+    def __call__(self, sweep: int, batch: SweepBatch) -> int:
+        trainer = self.trainer
+        rows = batch if self.packed else trainer.replay.schema.pack_batch(*batch)
+        with trainer.timer.phase(SERVICE_PUSH):
+            pushed = self.service.push(rows)
+        trainer.total_env_steps += pushed
+        if (sweep + 1) % self.staleness == 0:
+            with trainer.timer.phase(PARAM_REFRESH):
+                self.subscriber.poll()
+            trainer.telemetry.series(
+                "param.staleness", sweep, float(self.subscriber.staleness[-1])
+            )
+        return pushed
+
+    def __exit__(self, *exc) -> None:
+        try:
+            if self.coordinator.started:
+                self.merge = self.coordinator.stop()
+            # one last refresh so the subscriber's applied-version
+            # bookkeeping stays consistent with the final merged nets
+            self.subscriber.poll()
+            self.shard_stats = self.service.stats()
+        finally:
+            self.service.close()
+            self.store.close()
+
+    def extra(self) -> Dict[str, float]:
+        """The service's ``RunResult.extra`` entries (after the run)."""
+        merge = self.merge
+        out = {
+            "replay_shards": float(self.service.num_shards),
+            "learners": float(self.coordinator.num_learners),
+            "learner_rounds": float(merge["rounds"]),
+            "sampled_rows": float(merge["rows_pulled"]),
+            "sampled_rows_per_s": float(merge["sampled_rows_per_s"]),
+            "learner_utilization": float(merge["utilization"]),
+            "staleness_mean": float(merge["staleness_mean"]),
+            "staleness_max": float(merge["staleness_max"]),
+        }
+        for stats in self.shard_stats:
+            out[f"shard{stats['shard']}_ingested"] = float(stats["ingested"])
+            out[f"shard{stats['shard']}_sampled"] = float(stats["sampled"])
+        return out
+
+    def counters(self) -> List[Tuple[str, float, str]]:
+        """The service's telemetry counters as ``(name, value, unit)``."""
+        merge = self.merge
+        out = [
+            ("service.shards", float(self.service.num_shards), "shards"),
+            ("service.learners", float(self.coordinator.num_learners), "learners"),
+            ("service.sampled_rows_per_s", float(merge["sampled_rows_per_s"]), "rows/s"),
+            ("service.learner_utilization", float(merge["utilization"]), "fraction"),
+            ("service.staleness_max", float(merge["staleness_max"]), "versions"),
+        ]
+        for stats in self.shard_stats:
+            prefix = f"service.shard{stats['shard']}"
+            out.append((f"{prefix}.ingested", float(stats["ingested"]), "rows"))
+            out.append((f"{prefix}.sampled", float(stats["sampled"]), "rows"))
+            out.append((f"{prefix}.queue_peak", float(stats["queue_peak"]), "requests"))
+        return out
+
+
 def collect_steps(
     vec_env,
     trainer: MADDPGTrainer,
     steps: int,
     explore: bool = True,
     learn: bool = True,
+    handoff=None,
 ) -> Dict[str, float]:
     """Advance all K copies ``steps`` times with batched action selection.
 
     Accepts any vector env with the ``SyncVectorEnv`` API; a
     :class:`~repro.envs.parallel.ParallelVectorEnv` additionally gets its
     worker-wait time attributed (``env_step.worker_wait``) and, with
-    timestep-major storage, the packed zero-copy ingest path.  Returns
-    collection statistics: transitions stored, update rounds run, and the
-    mean per-step reward across copies and agents.
+    timestep-major storage, the packed zero-copy ingest path.  Each
+    sweep's transitions go to ``handoff(sweep, batch)`` — by default a
+    :class:`LocalHandoff`, or nowhere with ``learn=False``.  Returns
+    collection statistics: transitions handed off, update rounds run,
+    and the mean per-step reward across copies and agents.
     """
     if steps <= 0:
         raise ValueError(f"steps must be positive, got {steps}")
@@ -124,13 +238,14 @@ def collect_steps(
         vec_env.attach_timer(trainer.timer)
     if hasattr(vec_env, "attach_telemetry"):
         vec_env.attach_telemetry(trainer.telemetry)
+    if handoff is None and learn:
+        handoff = LocalHandoff(vec_env, trainer)
     obs = vec_env.reset()
     num_agents = vec_env.num_agents
     rewards_sum = 0.0
     updates_before = trainer.update_rounds
     stored = 0
-    packed = learn and _use_packed_ingest(vec_env, trainer)
-    for _ in range(steps):
+    for sweep in range(steps):
         # one batched forward per agent covers all K copies
         with trainer.timer.phase(ACTION_SELECTION):
             actions: List[np.ndarray] = [
@@ -140,24 +255,25 @@ def collect_steps(
         with trainer.timer.phase(ENV_STEP):
             next_obs, rewards, dones, _infos = vec_env.step(actions)
         rewards_sum += float(rewards.mean())
-        if packed:
-            # workers already packed this step's K joint-schema rows into
-            # the shared transition block; ingest them verbatim
-            stored += _ingest_chunked_packed(trainer, vec_env.packed_transitions())
-        elif learn:
-            # per-agent (K, .) stacks; `obs` is the pre-step observation
-            # (post-reset on copies that terminated last step).  On
-            # auto-reset steps the stacked next_obs is the post-reset
-            # observation; the stored next_obs uses the terminal flag so
-            # the bootstrap is cut there anyway.
-            stored += _ingest_chunked(
-                trainer,
-                [np.asarray(obs[a]) for a in range(num_agents)],
-                [np.asarray(actions[a]) for a in range(num_agents)],
-                [rewards[:, a] for a in range(num_agents)],
-                [np.asarray(next_obs[a]) for a in range(num_agents)],
-                [dones[:, a].astype(np.float64) for a in range(num_agents)],
-            )
+        if handoff is not None:
+            if handoff.packed:
+                # workers already packed this step's K joint-schema rows
+                # into the shared transition block; hand them off verbatim
+                batch = vec_env.packed_transitions()
+            else:
+                # per-agent (K, .) stacks; `obs` is the pre-step observation
+                # (post-reset on copies that terminated last step).  On
+                # auto-reset steps the stacked next_obs is the post-reset
+                # observation; the stored next_obs uses the terminal flag
+                # so the bootstrap is cut there anyway.
+                batch = (
+                    [np.asarray(obs[a]) for a in range(num_agents)],
+                    [np.asarray(actions[a]) for a in range(num_agents)],
+                    [rewards[:, a] for a in range(num_agents)],
+                    [np.asarray(next_obs[a]) for a in range(num_agents)],
+                    [dones[:, a].astype(np.float64) for a in range(num_agents)],
+                )
+            stored += handoff(sweep, batch)
         obs = next_obs
     return {
         "transitions": float(stored),

@@ -7,17 +7,22 @@ accumulated into the trainer's :class:`PhaseTimer`, so the returned
 :class:`RunResult` carries both learning curves and the paper's phase
 breakdowns.
 
-:func:`train_steps` is the execution-pipeline counterpart: it drives a
-vector env (serial or process-parallel) for a fixed number of vector
-steps with batched collection, optionally overlapping mini-batch
-assembly with update compute through a
-:class:`~repro.training.prefetch.PrefetchPipeline`.  With ``workers <= 1``
-and ``prefetch=False`` it is bit-identical to the serial batched path.
+:func:`train` is **the oracle** — the paper's characterized scalar loop,
+one env, one transition stored and at most one update per step — and
+stays as written.  :func:`train_steps` is **the default**, the only
+step-driven driver: one sweep body over a vector env
+(:func:`~repro.training.batched.collect_steps`) whose transitions are
+handed off locally (trainer-owned replay, update rounds at the paper's
+cadence, optional prefetch overlap) or to the sharded replay service,
+as ``trainer.config`` says.  The local hand-off over a serial env is
+bit-identical to storing one transition and updating once at a time.
 """
 
 from __future__ import annotations
 
 import time
+import warnings
+from contextlib import ExitStack
 from typing import Callable, List, Optional
 
 import numpy as np
@@ -32,8 +37,8 @@ from ..profiling.phases import (
     SAMPLING,
     UPDATE_ALL_TRAINERS,
 )
-from ..telemetry import TelemetryRecorder
-from .batched import collect_steps
+from ..telemetry import NULL_RECORDER, TelemetryRecorder
+from .batched import LocalHandoff, ServiceHandoff, collect_steps
 from .prefetch import PrefetchPipeline
 from .results import RunResult
 
@@ -143,51 +148,85 @@ def train_steps(
     vec_env,
     trainer: MADDPGTrainer,
     steps: int,
+    *,
     variant: str = "pipeline",
     env_name: str = "env",
     explore: bool = True,
-    prefetch: bool = False,
-    prefetch_seed: Optional[int] = None,
+    seed: Optional[int] = None,
     telemetry: Optional[TelemetryRecorder] = None,
 ) -> RunResult:
     """Train over a vector env for ``steps`` lock-step vector sweeps.
 
-    The overlapped actor-learner schedule: batched collection over K env
-    copies (serial or process-parallel — the env decides) interleaved
-    with update rounds at the paper's cadence; with ``prefetch=True``
-    the next round's mini-batches assemble on a background thread while
-    the current round computes (see
-    :class:`~repro.training.prefetch.PrefetchPipeline` for the validity
-    and PER epoch-guard semantics).
+    The one step-driven driver: batched collection over K env copies
+    (serial or process-parallel — the env decides) with each sweep's
+    transitions handed off according to the topology ``trainer.config``
+    names.  ``replay_shards == 1 and learners == 1`` is the *local*
+    hand-off: ingest into the trainer's own replay, update rounds at the
+    paper's cadence, and with ``prefetch`` the next round's mini-batches
+    assembled on a background thread while the current round computes
+    (see :class:`~repro.training.prefetch.PrefetchPipeline` for the
+    validity and PER epoch-guard semantics).  Any other topology is the
+    *service* hand-off (:class:`~repro.training.batched.ServiceHandoff`):
+    the main process becomes a pure rollout producer and learner
+    processes update free-running off the sharded replay service.
 
-    The returned :class:`RunResult` reports pipeline statistics in
-    ``extra``: transitions stored, steps/sec, prefetch hit/miss/stale
-    counts, the hidden-sampling seconds, and the measured
+    Prioritized (PER) configs always take the local hand-off: PER's
+    sum-tree is one global structure whose draws and priority
+    write-backs are interleaved with updates; sharding it (or updating
+    off injected batches) would change the sampling distribution.  The
+    degradation is explicit: a warning plus a ``service.per_guard``
+    telemetry counter.
+
+    ``seed`` seeds what the driver itself draws from: the prefetch
+    thread's private RNG stream and the shard servers' / learners'
+    sampling streams.
+
+    The returned :class:`RunResult` reports in ``extra``: transitions
+    stored, steps/sec, mean step reward; with prefetch the hit/miss/stale
+    counts, the hidden-sampling seconds and the measured
     ``overlap_fraction`` — the share of sampling work that ran behind
-    update compute.
+    update compute; in service mode the hand-off's learner and shard
+    statistics.
     """
     if steps <= 0:
         raise ValueError(f"steps must be positive, got {steps}")
-    if telemetry is not None and telemetry.enabled:
-        trainer.attach_telemetry(telemetry)
-        telemetry.manifest(
-            seed=prefetch_seed,
-            config=trainer.config,
+    config = trainer.config
+    recorder = telemetry if telemetry is not None else NULL_RECORDER
+    if recorder.enabled:
+        trainer.attach_telemetry(recorder)
+        recorder.manifest(
+            seed=seed,
+            config=config,
             label=f"train_steps/{env_name}/{trainer.name}/{variant}",
             backend=trainer.backend.describe(),
         )
-        telemetry.counter("backend.selected", 1.0, unit=trainer.backend.name)
+        recorder.counter("backend.selected", 1.0, unit=trainer.backend.name)
+    service = config.replay_shards > 1 or config.learners > 1
+    if service and trainer.replay.prioritized:
+        warnings.warn(
+            "prioritized replay routes through the single-shard guard: "
+            "PER's global sum-tree cannot shard without changing the "
+            "sampling distribution; running the serial in-process loop",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+        recorder.counter("service.per_guard", 1.0, unit="runs")
+        service = False
     pipeline: Optional[PrefetchPipeline] = None
-    if prefetch:
-        pipeline = PrefetchPipeline(trainer, seed=prefetch_seed)
-        trainer.attach_prefetcher(pipeline)
-    start = time.perf_counter()
-    try:
-        stats = collect_steps(vec_env, trainer, steps, explore=explore, learn=True)
-    finally:
-        if pipeline is not None:
-            pipeline.close()
-            trainer.attach_prefetcher(None)
+    with ExitStack() as stack:
+        if service:
+            handoff = stack.enter_context(
+                ServiceHandoff(vec_env, trainer, seed=0 if seed is None else seed)
+            )
+        else:
+            handoff = LocalHandoff(vec_env, trainer)
+            if config.prefetch:
+                pipeline = PrefetchPipeline(trainer, seed=seed)
+                trainer.attach_prefetcher(pipeline)
+                stack.callback(trainer.attach_prefetcher, None)
+                stack.callback(pipeline.close)
+        start = time.perf_counter()
+        stats = collect_steps(vec_env, trainer, steps, explore=explore, handoff=handoff)
     total_seconds = time.perf_counter() - start
     result = RunResult(
         algorithm=trainer.name,
@@ -203,6 +242,15 @@ def train_steps(
     result.extra["transitions"] = stats["transitions"]
     result.extra["mean_step_reward"] = stats["mean_step_reward"]
     result.extra["steps_per_second"] = stats["transitions"] / max(total_seconds, 1e-12)
+    recorder.counter("update_rounds", result.update_rounds, unit="rounds")
+    recorder.counter("transitions", result.extra["transitions"], unit="steps")
+    recorder.counter(
+        "steps_per_second", result.extra["steps_per_second"], unit="steps/s"
+    )
+    if service:
+        result.extra.update(handoff.extra())
+        for name, value, unit in handoff.counters():
+            recorder.counter(name, value, unit=unit)
     if pipeline is not None:
         hidden = trainer.timer.total(PREFETCH_HIT)
         visible = trainer.timer.total(f"{UPDATE_ALL_TRAINERS}.{SAMPLING}")
@@ -215,17 +263,10 @@ def train_steps(
         result.extra["overlap_fraction"] = (
             hidden / (hidden + visible) if hidden + visible > 0 else 0.0
         )
-    if telemetry is not None and telemetry.enabled:
-        telemetry.counter("update_rounds", result.update_rounds, unit="rounds")
-        telemetry.counter("transitions", result.extra["transitions"], unit="steps")
-        telemetry.counter(
-            "steps_per_second", result.extra["steps_per_second"], unit="steps/s"
+        recorder.counter("prefetch.hits", pipeline.hits, unit="rounds")
+        recorder.counter("prefetch.misses", pipeline.misses, unit="rounds")
+        recorder.counter("prefetch.stales", pipeline.stale, unit="rounds")
+        recorder.counter(
+            "overlap_fraction", result.extra["overlap_fraction"], unit="fraction"
         )
-        if pipeline is not None:
-            telemetry.counter("prefetch.hits", pipeline.hits, unit="rounds")
-            telemetry.counter("prefetch.misses", pipeline.misses, unit="rounds")
-            telemetry.counter("prefetch.stales", pipeline.stale, unit="rounds")
-            telemetry.counter(
-                "overlap_fraction", result.extra["overlap_fraction"], unit="fraction"
-            )
     return result

@@ -1,4 +1,14 @@
-"""Shared fixtures for the test suite."""
+"""Shared fixtures for the test suite, and the CI engine matrix.
+
+CI re-runs suites on other engines by setting ``REPRO_STORAGE``,
+``REPRO_ENV_WORKERS``, ``REPRO_REPLAY_SHARDS`` or ``REPRO_BACKEND``.
+Nothing below ``repro.configio`` reads the environment, so the selection
+is made here: the variables resolve once through :func:`resolve_config`
+into :data:`ENGINE`, and the matrix suites build their configs with
+:func:`engine_config` and pass ``ENGINE[...]`` where they construct a
+replay / vector env / backend directly.  With no variable set both are
+the plain defaults; tests that pin an engine keep their pin.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +17,20 @@ import pytest
 
 from repro.algos.config import MARLConfig
 from repro.buffers.multi_agent import MultiAgentReplay
+from repro.configio import resolve_config
 from repro.nn.functional import one_hot
+
+#: The engine under test: the four ``MARLConfig`` fields the CI matrix sets.
+_RESOLVED = resolve_config().config
+ENGINE = {
+    field: getattr(_RESOLVED, field)
+    for field in ("storage", "env_workers", "replay_shards", "backend")
+}
+
+
+def engine_config(**overrides) -> MARLConfig:
+    """A ``MARLConfig`` on the engine under test (overrides win)."""
+    return MARLConfig(**{**ENGINE, **overrides})
 
 
 @pytest.fixture
@@ -18,7 +41,7 @@ def rng() -> np.random.Generator:
 @pytest.fixture
 def tiny_config() -> MARLConfig:
     """Laptop-scale hyper-parameters for fast training tests."""
-    return MARLConfig(
+    return engine_config(
         batch_size=32,
         buffer_capacity=2048,
         update_every=25,
@@ -44,7 +67,9 @@ def fill_multi_agent_replay(
 @pytest.fixture
 def small_replay(rng) -> MultiAgentReplay:
     """3-agent replay with 500 rows of synthetic transitions."""
-    replay = MultiAgentReplay([16, 16, 14], [5, 5, 5], capacity=1024)
+    replay = MultiAgentReplay(
+        [16, 16, 14], [5, 5, 5], capacity=1024, storage=ENGINE["storage"]
+    )
     fill_multi_agent_replay(replay, rng, 500)
     return replay
 
@@ -53,7 +78,8 @@ def small_replay(rng) -> MultiAgentReplay:
 def prioritized_replay(rng) -> MultiAgentReplay:
     """3-agent prioritized replay with 500 rows."""
     replay = MultiAgentReplay(
-        [16, 16, 14], [5, 5, 5], capacity=1024, prioritized=True
+        [16, 16, 14], [5, 5, 5], capacity=1024, prioritized=True,
+        storage=ENGINE["storage"],
     )
     fill_multi_agent_replay(replay, rng, 500)
     return replay

@@ -19,12 +19,13 @@ from repro.core import (
     UniformSampler,
 )
 from repro.nn.functional import one_hot
+from tests.conftest import engine_config
 
 
 def tiny_trainer(cls=MADDPGTrainer, sampler=None, use_layout=False, seed=0, **cfg):
     defaults = dict(batch_size=32, buffer_capacity=512, update_every=10)
     defaults.update(cfg)
-    config = MARLConfig(**defaults)
+    config = engine_config(**defaults)
     return cls(
         [8, 8, 6],
         [5, 5, 5],
@@ -198,7 +199,7 @@ class TestUpdateMechanics:
         big = MADDPGTrainer(
             [8] * 6,
             [5] * 6,
-            config=MARLConfig(batch_size=32, buffer_capacity=512),
+            config=engine_config(batch_size=32, buffer_capacity=512),
             seed=0,
         )
         assert big.num_parameters() > small.num_parameters()
@@ -289,7 +290,7 @@ class TestMATD3:
 
 class TestVariantFactory:
     def test_all_variants_constructible(self):
-        cfg = MARLConfig(batch_size=1024, buffer_capacity=2048)
+        cfg = engine_config(batch_size=1024, buffer_capacity=2048)
         for variant in VARIANTS:
             trainer = build_trainer("maddpg", variant, [8, 8], [5, 5], config=cfg)
             assert isinstance(trainer, MADDPGTrainer)
@@ -325,6 +326,6 @@ class TestVariantFactory:
             build_trainer("q_learning", "baseline", [4], [2])
 
     def test_matd3_variant(self):
-        cfg = MARLConfig(batch_size=32, buffer_capacity=64)
+        cfg = engine_config(batch_size=32, buffer_capacity=64)
         trainer = build_trainer("matd3", "baseline", [4], [2], config=cfg)
         assert isinstance(trainer, MATD3Trainer)

@@ -3,6 +3,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from repro import api
@@ -31,6 +32,52 @@ class TestTrain:
         result = api.train(TINY, steps=4, copies=2, num_agents=2, seed=1)
         assert result.env_steps == 4 * 2
         assert "steps_per_second" in result.extra
+
+    @pytest.mark.parametrize("mode", ["episodes", "steps"])
+    def test_checkpoint_holds_the_trained_parameters(self, tmp_path, mode):
+        """``checkpoint=`` saves the trainer the driver trained — not a
+        fresh build at the same seed (the old ``repro train --checkpoint``)."""
+        from repro.algos import build_trainer, load_checkpoint
+        from repro.envs import make_vector_env
+        from repro.experiments.runner import build_workload
+        from repro.experiments.workloads import WorkloadSpec
+        from repro.training import train, train_steps
+
+        def arrays(trainer):
+            return [
+                p.value.copy()
+                for agent in trainer.agents
+                for net in (agent.actor, agent.critic)
+                for p in net.parameters()
+            ]
+
+        env_name, path = "cooperative_navigation", tmp_path / "ck.npz"
+        if mode == "steps":
+
+            def build():
+                vec = make_vector_env(env_name, num_agents=3, copies=2, seed=3)
+                return vec, build_trainer(
+                    "maddpg", "baseline", vec.obs_dims, vec.act_dims, config=TINY, seed=3
+                )
+
+            api.train(TINY, steps=12, copies=2, seed=3, checkpoint=path)
+            env, trained = build()
+            train_steps(env, trained, 12, seed=3)
+        else:
+            spec = WorkloadSpec(env_name=env_name, episodes=3, seed=3, config=TINY)
+
+            def build():
+                return build_workload(spec)
+
+            api.train(TINY, episodes=3, seed=3, checkpoint=path)
+            env, trained = build()
+            train(env, trained, 3)
+        assert trained.update_rounds > 0
+        _, reloaded = build()
+        fresh = arrays(reloaded)
+        load_checkpoint(reloaded, str(path))
+        assert all(np.array_equal(a, b) for a, b in zip(arrays(reloaded), arrays(trained)))
+        assert not all(np.array_equal(a, b) for a, b in zip(arrays(reloaded), fresh))
 
     def test_episodes_and_steps_rejected(self):
         with pytest.raises(ValueError, match="not both"):

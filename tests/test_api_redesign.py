@@ -4,11 +4,9 @@ Contracts under test:
 
 * ``make_replay`` — the unified construction entry point (config
   defaults, ``schema=`` vs ``obs_dims=/act_dims=``, engine routing).
-* ``ingest`` — one batch-write verb over both call shapes, with the
-  deprecated ``add_batch`` / ``add_packed_batch`` spellings warning but
-  producing byte-identical buffer state.
-* ``gather`` — one read verb over ``(indices | runs, *, vectorized)``,
-  with every legacy gather spelling warning and matching byte-for-byte.
+* ``ingest`` — one batch-write verb over both call shapes, producing
+  byte-identical buffer state.
+* ``gather`` — one read verb over ``(indices | runs, *, vectorized)``.
 * keyword-only option flags on ``make_sampler`` / ``build_trainer``.
 """
 
@@ -151,27 +149,6 @@ class TestIngest:
         assert via_packed.ingest(packed_rows=_pack(batch, via_packed.schema)) == 24
         _assert_state_equal(_buffer_state(via_batch), _buffer_state(via_packed))
 
-    def test_deprecated_add_batch_warns_and_matches(self, storage):
-        rng = np.random.default_rng(1)
-        batch = _joint_batch(rng, 16)
-        canonical = make_replay(obs_dims=OBS_DIMS, act_dims=ACT_DIMS, capacity=32, storage=storage)
-        legacy = make_replay(obs_dims=OBS_DIMS, act_dims=ACT_DIMS, capacity=32, storage=storage)
-        canonical.ingest(batch)
-        with pytest.warns(DeprecationWarning, match="add_batch"):
-            legacy.add_batch(*batch)
-        _assert_state_equal(_buffer_state(canonical), _buffer_state(legacy))
-
-    def test_deprecated_add_packed_batch_warns_and_matches(self, storage):
-        rng = np.random.default_rng(2)
-        batch = _joint_batch(rng, 16)
-        canonical = make_replay(obs_dims=OBS_DIMS, act_dims=ACT_DIMS, capacity=32, storage=storage)
-        legacy = make_replay(obs_dims=OBS_DIMS, act_dims=ACT_DIMS, capacity=32, storage=storage)
-        rows = _pack(batch, canonical.schema)
-        canonical.ingest(packed_rows=rows)
-        with pytest.warns(DeprecationWarning, match="add_packed_batch"):
-            legacy.add_packed_batch(rows)
-        _assert_state_equal(_buffer_state(canonical), _buffer_state(legacy))
-
     def test_exactly_one_call_shape(self, storage):
         replay = make_replay(obs_dims=OBS_DIMS, act_dims=ACT_DIMS, capacity=32, storage=storage)
         rng = np.random.default_rng(3)
@@ -182,15 +159,14 @@ class TestIngest:
         with pytest.raises(ValueError, match="exactly one"):
             replay.ingest()
 
-    def test_prioritized_legacy_add_batch_updates_trees(self, storage):
+    def test_prioritized_ingest_updates_trees(self, storage):
         rng = np.random.default_rng(4)
         batch = _joint_batch(rng, 8)
         replay = make_replay(
             obs_dims=OBS_DIMS, act_dims=ACT_DIMS, capacity=32,
             prioritized=True, storage=storage,
         )
-        with pytest.warns(DeprecationWarning):
-            replay.add_batch(*batch)
+        replay.ingest(batch)
         buf = replay.priority_buffer(0)
         # new transitions get max priority — samplable immediately
         sampled = buf.sample_proportional_indices(np.random.default_rng(0), 4)
@@ -233,25 +209,6 @@ class TestGather:
         with pytest.raises(ValueError, match="exactly one"):
             replay.gather()
 
-    def test_deprecated_gather_all_warns_and_matches(self, storage):
-        replay = self._filled(storage)
-        indices = np.arange(12)
-        canonical = replay.gather(indices, vectorized=True)
-        with pytest.warns(DeprecationWarning, match="gather_all"):
-            legacy = replay.gather_all(indices, vectorized=True)
-        _assert_state_equal(canonical, legacy)
-        # fast_path= historical spelling still routes to the engine flag
-        with pytest.warns(DeprecationWarning):
-            legacy_fp = replay.gather_all(indices, fast_path=True)
-        _assert_state_equal(canonical, legacy_fp)
-
-    def test_deprecated_gather_runs_all_warns_and_matches(self, storage):
-        replay = self._filled(storage)
-        runs = [Run(0, 6), Run(10, 6)]
-        canonical = replay.gather(runs=runs, vectorized=True)
-        with pytest.warns(DeprecationWarning, match="gather_runs_all"):
-            legacy = replay.gather_runs_all(runs)
-        _assert_state_equal(canonical, legacy)
 
 
 class TestArenaGatherAliases:
@@ -273,28 +230,6 @@ class TestArenaGatherAliases:
         with pytest.raises(ValueError, match="exactly one"):
             arena.gather_joint(indices, runs=[Run(0, 8)])
 
-    def test_deprecated_arena_spellings_warn_and_match(self):
-        arena = self._arena()
-        indices = np.arange(6)
-        canonical_rows = arena.gather_joint(indices)
-        canonical_fields = arena.gather_fields(indices)
-        with pytest.warns(DeprecationWarning, match="gather_rows"):
-            np.testing.assert_array_equal(arena.gather_rows(indices), canonical_rows)
-        with pytest.warns(DeprecationWarning, match="gather_rows_loop"):
-            np.testing.assert_array_equal(
-                arena.gather_rows_loop(indices), canonical_rows
-            )
-        with pytest.warns(DeprecationWarning, match="gather_all_agents_fields"):
-            legacy_fields = arena.gather_all_agents_fields(indices)
-        _assert_state_equal(canonical_fields, legacy_fields)
-        with pytest.warns(DeprecationWarning, match="gather_all_agents"):
-            legacy_dict = arena.gather_all_agents(indices)
-        assert sorted(legacy_dict) == [0, 1]
-        _assert_state_equal(canonical_fields, [legacy_dict[0], legacy_dict[1]])
-        with pytest.warns(DeprecationWarning, match="gather_runs_fields"):
-            legacy_runs = arena.gather_runs_fields([Run(0, 6)])
-        _assert_state_equal(canonical_fields, legacy_runs)
-
 
 class TestKeywordOnlyFlags:
     def test_make_sampler_flags_are_keyword_only(self):
@@ -308,8 +243,8 @@ class TestKeywordOnlyFlags:
             build_trainer("maddpg", "baseline", OBS_DIMS, ACT_DIMS, None, 0)
         trainer = build_trainer(
             "maddpg", "baseline", OBS_DIMS, ACT_DIMS,
-            MARLConfig(batch_size=32, buffer_capacity=256),
-            seed=0, storage="timestep_major",
+            MARLConfig(batch_size=32, buffer_capacity=256, storage="timestep_major"),
+            seed=0,
         )
         assert trainer.replay.arena is not None
 

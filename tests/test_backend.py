@@ -1,8 +1,8 @@
 """Compute-backend selection, fallback, wiring, and training equivalence.
 
-Covers the pluggable backend layer end to end: the resolution order
-(explicit argument → ``MARLConfig.backend`` → ``REPRO_BACKEND`` →
-numpy), the warn-once numpy fallback when numba is missing, the
+Covers the pluggable backend layer end to end: selection by
+``MARLConfig.backend`` (the ``REPRO_BACKEND`` chain is
+``test_config_resolution``'s), the warn-once numpy fallback when numba is missing, the
 engine's topology gate (non-MLP3 networks fall back with a warning),
 telemetry provenance (manifest + ``backend.selected`` counter), and the
 headline contract: full training runs on the kernel path land within
@@ -43,7 +43,7 @@ from repro.nn.stacked import mlp3_parameters
 from repro.telemetry import memory_recorder
 from repro.training import train
 
-from tests.conftest import fill_multi_agent_replay
+from tests.conftest import engine_config, fill_multi_agent_replay
 
 NUMBA_MISSING = importlib.util.find_spec("numba") is None
 TOL = dict(rtol=1e-10, atol=1e-12)
@@ -55,30 +55,21 @@ TOL = dict(rtol=1e-10, atol=1e-12)
 
 
 class TestResolution:
-    def test_default_is_numpy(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        assert resolve_backend(None) == "numpy"
+    def test_default_is_numpy(self):
+        assert MARLConfig().backend == "numpy"
         assert get_backend().name == "numpy"
         assert get_backend().kernels is None
 
-    def test_env_variable_fallback(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "numba")
-        assert resolve_backend(None) == "numba"
-        # explicit argument wins over the environment
-        assert resolve_backend("numpy") == "numpy"
+    def test_python_names_the_unjitted_kernel_set(self):
+        backend = get_backend("python")
+        assert backend.kernels is kernel_backend().kernels
+        assert not backend.jitted
 
     def test_unknown_name_raises(self):
         with pytest.raises(ValueError, match="unknown backend"):
             resolve_backend("cuda")
         with pytest.raises(ValueError, match="unknown backend"):
             MARLConfig(backend="cuda")
-
-    def test_config_resolved_backend(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        assert MARLConfig().resolved_backend == "numpy"
-        assert MARLConfig(backend="numba").resolved_backend == "numba"
-        monkeypatch.setenv("REPRO_BACKEND", "numba")
-        assert MARLConfig().resolved_backend == "numba"
 
     def test_instance_passes_through(self):
         backend = kernel_backend()
@@ -92,7 +83,7 @@ class TestResolution:
         assert describe["compiled"] is False
 
     def test_backends_tuple(self):
-        assert BACKENDS == ("numpy", "numba")
+        assert BACKENDS == ("numpy", "numba", "python")
 
 
 class TestKernelSet:
@@ -153,8 +144,9 @@ class TestNumbaFallback:
                 config=MARLConfig(
                     batch_size=16, buffer_capacity=128, update_every=8,
                     hidden_units=(16, 16), batched_update=True,
+                    backend="numba",
                 ),
-                seed=0, backend="numba",
+                seed=0,
             )
         assert trainer.backend.name == "numpy"
         fill_multi_agent_replay(trainer.replay, np.random.default_rng(0), 32)
@@ -184,7 +176,7 @@ def _config(**overrides):
         hidden_units=(16, 16), batched_update=True,
     )
     base.update(overrides)
-    return MARLConfig(**base)
+    return engine_config(**base)
 
 
 class TestWiring:
@@ -198,8 +190,7 @@ class TestWiring:
         assert args.backend == "numba"
         assert parser.parse_args(["train"]).backend is None
 
-    def test_trainer_resolves_config_backend(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+    def test_trainer_resolves_config_backend(self):
         trainer = build_trainer(
             "maddpg", "baseline", [6] * 3, [3] * 3,
             config=_config(backend="numpy"), seed=0,
@@ -207,29 +198,19 @@ class TestWiring:
         assert trainer.backend.name == "numpy"
         assert trainer._engine is not None and trainer._engine._k is None
 
-    def test_explicit_backend_overrides_config(self):
+    @pytest.mark.parametrize("algo", ["maddpg", "matd3"])
+    def test_engine_dispatches_a_kernel_backend(self, algo):
         trainer = build_trainer(
-            "maddpg", "baseline", [6] * 3, [3] * 3,
-            config=_config(backend="numpy"), seed=0, backend=kernel_backend(),
+            algo, "baseline", [6] * 3, [3] * 3, config=_config(backend="python"), seed=0
         )
         assert trainer.backend.name == "python"
         assert trainer._engine._k is trainer.backend.kernels
 
-    def test_matd3_inherits_backend_parameter(self):
-        trainer = build_trainer(
-            "matd3", "baseline", [6] * 3, [3] * 3,
-            config=_config(), seed=0, backend=kernel_backend(),
-        )
-        assert trainer.backend.name == "python"
-        assert isinstance(trainer._engine, BatchedUpdateEngine)
-        assert trainer._engine._k is not None
-
     def test_backend_inert_without_batched_update(self):
         trainer = build_trainer(
             "maddpg", "baseline", [6] * 3, [3] * 3,
-            config=_config(batched_update=False), seed=0, backend=kernel_backend(),
+            config=_config(batched_update=False, backend="python"), seed=0,
         )
-        assert trainer.backend.name == "python"
         assert trainer._engine is None  # scalar loop: no kernel dispatch at all
         fill_multi_agent_replay(trainer.replay, np.random.default_rng(0), 32)
         assert trainer.update(force=True)
@@ -303,13 +284,10 @@ class TestTelemetry:
 def _train_synthetic(algo, backend, n, per, steps=120):
     config = MARLConfig(
         batch_size=32, buffer_capacity=2000, update_every=20,
-        hidden_units=(16, 16), batched_update=True,
+        hidden_units=(16, 16), batched_update=True, backend=backend,
     )
     obs, act = [8] * n, [5] * n
-    trainer = build_trainer(
-        algo, "per" if per else "baseline", obs, act, config,
-        seed=7, backend=backend,
-    )
+    trainer = build_trainer(algo, "per" if per else "baseline", obs, act, config, seed=7)
     rng = np.random.default_rng(3)
     for _ in range(steps):
         trainer.experience(
@@ -334,6 +312,6 @@ class TestTrainingEquivalence:
     @pytest.mark.parametrize("per", [False, True], ids=["uniform", "per"])
     def test_kernel_path_matches_numpy_reference(self, algo, n, per):
         reference = _train_synthetic(algo, "numpy", n, per)
-        kernels = _train_synthetic(algo, kernel_backend(), n, per)
+        kernels = _train_synthetic(algo, "python", n, per)
         for ref, got in zip(reference, kernels):
             np.testing.assert_allclose(got, ref, **TOL)

@@ -30,9 +30,10 @@ from hypothesis import strategies as st
 from repro.nn.backend import get_backend, kernel_backend
 from repro.nn.functional import softmax_temperature
 from repro.nn.losses import mse_loss, weighted_mse_loss
+from tests.conftest import ENGINE
 
-_RESOLVED = get_backend()
-#: Kernel set under test: the env-selected backend's when it carries
+_RESOLVED = get_backend(ENGINE["backend"])
+#: Kernel set under test: the matrix-selected backend's when it carries
 #: one (the numba CI job), python mode otherwise.
 K = _RESOLVED.kernels if _RESOLVED.kernels is not None else kernel_backend().kernels
 #: Bit-exactness only holds for the un-jitted kernel source.

@@ -14,13 +14,13 @@ import numpy as np
 import pytest
 
 import repro
-from repro.algos.config import MARLConfig
 from repro.buffers.multi_agent import MultiAgentReplay
 from repro.buffers.prioritized import PrioritizedReplayBuffer
 from repro.buffers.replay import ReplayBuffer
 from repro.envs.registry import make
 from repro.envs.vector import SyncVectorEnv
 from repro.training.batched import collect_steps
+from tests.conftest import ENGINE, engine_config
 
 OBS, ACT = 4, 3
 
@@ -33,12 +33,6 @@ def random_rows(rng, k, obs_dim=OBS, act_dim=ACT):
         rng.normal(size=(k, obs_dim)),
         rng.integers(0, 2, size=k).astype(np.float64),
     )
-
-
-def legacy(method, *args, **kwargs):
-    """Call a deprecated alias, asserting it warns (aliases are graduating)."""
-    with pytest.warns(DeprecationWarning, match="is deprecated; use"):
-        return method(*args, **kwargs)
 
 
 def assert_buffers_equal(a: ReplayBuffer, b: ReplayBuffer):
@@ -66,7 +60,7 @@ class TestReplayAddBatch:
         obs, act, rew, next_obs, done = random_rows(rng, k)
         for t in range(k):
             seq.add(obs[t], act[t], rew[t], next_obs[t], bool(done[t]))
-        legacy(bat.add_batch, obs, act, rew, next_obs, done)
+        bat.ingest((obs, act, rew, next_obs, done))
         assert_buffers_equal(seq, bat)
 
     def test_oversized_batch_keeps_trailing_rows(self):
@@ -78,26 +72,27 @@ class TestReplayAddBatch:
         obs, act, rew, next_obs, done = random_rows(rng, 20)
         for t in range(20):
             seq.add(obs[t], act[t], rew[t], next_obs[t], bool(done[t]))
-        legacy(bat.add_batch, obs, act, rew, next_obs, done)
+        bat.ingest((obs, act, rew, next_obs, done))
         assert_buffers_equal(seq, bat)
 
     def test_returned_indices_match_slots(self):
         buf = ReplayBuffer(8, OBS, ACT)
         rng = np.random.default_rng(3)
         obs, act, rew, next_obs, done = random_rows(rng, 5)
-        idx = legacy(buf.add_batch, obs, act, rew, next_obs, done)
+        idx = buf.ingest((obs, act, rew, next_obs, done))
         np.testing.assert_array_equal(idx, np.arange(5))
         np.testing.assert_array_equal(buf._obs[idx], obs)
-        idx2 = legacy(buf.add_batch, obs, act, rew, next_obs, done)
+        idx2 = buf.ingest((obs, act, rew, next_obs, done))
         np.testing.assert_array_equal(idx2, [5, 6, 7, 0, 1])
 
     def test_empty_batch_rejected(self):
         buf = ReplayBuffer(8, OBS, ACT)
         with pytest.raises(ValueError):
-            legacy(
-                buf.add_batch,
-                np.empty((0, OBS)), np.empty((0, ACT)), np.empty(0),
-                np.empty((0, OBS)), np.empty(0),
+            buf.ingest(
+                (
+                    np.empty((0, OBS)), np.empty((0, ACT)), np.empty(0),
+                    np.empty((0, OBS)), np.empty(0),
+                )
             )
 
     def test_mismatched_lengths_rejected(self):
@@ -105,7 +100,7 @@ class TestReplayAddBatch:
         rng = np.random.default_rng(4)
         obs, act, rew, next_obs, done = random_rows(rng, 4)
         with pytest.raises(ValueError):
-            legacy(buf.add_batch, obs, act, rew[:3], next_obs, done)
+            buf.ingest((obs, act, rew[:3], next_obs, done))
 
 
 class TestPrioritizedAddBatch:
@@ -116,7 +111,7 @@ class TestPrioritizedAddBatch:
         obs, act, rew, next_obs, done = random_rows(rng, 10)
         for t in range(10):
             seq.add(obs[t], act[t], rew[t], next_obs[t], bool(done[t]))
-        legacy(bat.add_batch, obs, act, rew, next_obs, done)
+        bat.ingest((obs, act, rew, next_obs, done))
         assert_buffers_equal(seq, bat)
         np.testing.assert_array_equal(seq._sum_tree._tree, bat._sum_tree._tree)
         np.testing.assert_array_equal(seq._min_tree._tree, bat._min_tree._tree)
@@ -130,11 +125,11 @@ class TestPrioritizedAddBatch:
         first = random_rows(rng, 4)
         more = random_rows(rng, 9)  # wraps past capacity
         for buf in (seq, bat):
-            legacy(buf.add_batch, *first)
+            buf.ingest(first)
             buf.update_priorities([0, 2], [3.5, 0.25])
         for t in range(9):
             seq.add(more[0][t], more[1][t], more[2][t], more[3][t], bool(more[4][t]))
-        legacy(bat.add_batch, *more)
+        bat.ingest(more)
         np.testing.assert_array_equal(seq._sum_tree._tree, bat._sum_tree._tree)
         np.testing.assert_array_equal(seq._min_tree._tree, bat._min_tree._tree)
 
@@ -143,8 +138,10 @@ class TestMultiAgentAddBatch:
     def test_matches_per_step_add(self):
         rng = np.random.default_rng(7)
         obs_dims, act_dims = [4, 6], [3, 3]
-        seq = MultiAgentReplay(obs_dims, act_dims, capacity=16)
-        bat = MultiAgentReplay(obs_dims, act_dims, capacity=16)
+        seq, bat = (
+            MultiAgentReplay(obs_dims, act_dims, capacity=16, storage=ENGINE["storage"])
+            for _ in range(2)
+        )
         k = 11
         fields = [
             [rng.normal(size=(k, d)) for d in obs_dims],        # obs
@@ -161,24 +158,25 @@ class TestMultiAgentAddBatch:
                 [f[t] for f in fields[3]],
                 [bool(f[t]) for f in fields[4]],
             )
-        rows = legacy(bat.add_batch, *fields)
+        rows = bat.ingest(fields)
         assert rows == k
         for a in range(2):
             assert_buffers_equal(seq[a], bat[a])
 
     def test_wrong_agent_count_rejected(self):
-        replay = MultiAgentReplay([4, 4], [3, 3], capacity=16)
+        replay = MultiAgentReplay([4, 4], [3, 3], capacity=16, storage=ENGINE["storage"])
         with pytest.raises(ValueError, match="per-agent"):
-            legacy(
-                replay.add_batch,
-                [np.zeros((2, 4))], [np.zeros((2, 3))], [np.zeros(2)],
-                [np.zeros((2, 4))], [np.zeros(2)],
+            replay.ingest(
+                (
+                    [np.zeros((2, 4))], [np.zeros((2, 3))], [np.zeros(2)],
+                    [np.zeros((2, 4))], [np.zeros(2)],
+                )
             )
 
 
 class TestExperienceBatch:
     def make_trainer(self, seed=0):
-        cfg = MARLConfig(batch_size=8, buffer_capacity=64, update_every=10)
+        cfg = engine_config(batch_size=8, buffer_capacity=64, update_every=10)
         return repro.make_trainer(
             "maddpg", "baseline", [OBS] * 2, [ACT] * 2, config=cfg, seed=seed
         )
@@ -219,7 +217,7 @@ class TestCollectStepsEquivalence:
     K = 4
 
     def make_pair(self, update_every=6):
-        cfg = MARLConfig(batch_size=8, buffer_capacity=128, update_every=update_every)
+        cfg = engine_config(batch_size=8, buffer_capacity=128, update_every=update_every)
 
         def build():
             factories = [

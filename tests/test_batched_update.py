@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.algos import BatchedUpdateEngine, MADDPGTrainer, MARLConfig, MATD3Trainer
+from repro.algos import BatchedUpdateEngine, MADDPGTrainer, MATD3Trainer
 from repro.algos.variants import build_trainer
 from repro.core.samplers import PrioritizedSampler, UniformSampler
 from repro.nn import (
@@ -32,14 +32,14 @@ from repro.nn import (
     stacked_mlp,
 )
 
-from tests.conftest import fill_multi_agent_replay
+from tests.conftest import engine_config, fill_multi_agent_replay
 
 OBS, ACT = 6, 3
 TOL = dict(rtol=1e-10, atol=1e-12)
 
 
 def make_trainer(cls, n, prioritized=False, batched=False, shared=False, seed=11, **cfg):
-    config = MARLConfig(
+    config = engine_config(
         batch_size=16,
         buffer_capacity=256,
         update_every=8,
@@ -140,7 +140,7 @@ class TestEngineEquivalence:
 
 class TestEngineWiring:
     def test_heterogeneous_agents_rejected(self):
-        config = MARLConfig(
+        config = engine_config(
             batch_size=16, buffer_capacity=64, batched_update=True
         )
         with pytest.raises(ValueError, match="homogeneous"):
@@ -156,22 +156,8 @@ class TestEngineWiring:
         assert trainer._engine is None
         assert trainer.batched_update is False
 
-    def test_explicit_arg_overrides_config(self):
-        config = MARLConfig(
-            batch_size=16, buffer_capacity=64, batched_update=True
-        )
-        off = MADDPGTrainer(
-            [OBS] * 3, [ACT] * 3, config=config, batched_update=False, seed=0
-        )
-        assert off._engine is None
-        config2 = MARLConfig(batch_size=16, buffer_capacity=64)
-        on = MADDPGTrainer(
-            [OBS] * 3, [ACT] * 3, config=config2, batched_update=True, seed=0
-        )
-        assert isinstance(on._engine, BatchedUpdateEngine)
-
     def test_build_trainer_threads_config(self):
-        config = MARLConfig(
+        config = engine_config(
             batch_size=16, buffer_capacity=64, batched_update=True
         )
         trainer = build_trainer(

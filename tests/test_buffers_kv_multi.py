@@ -7,12 +7,6 @@ from repro.buffers import JointSchema, KVTransitionStore, MultiAgentReplay
 from tests.conftest import fill_multi_agent_replay
 
 
-def legacy(method, *args, **kwargs):
-    """Call a deprecated alias, asserting it warns (aliases are graduating)."""
-    with pytest.warns(DeprecationWarning, match="is deprecated; use"):
-        return method(*args, **kwargs)
-
-
 class TestJointSchema:
     def test_from_dims(self):
         js = JointSchema.from_dims([16, 14], [5, 5])
@@ -46,7 +40,7 @@ class TestKVStoreEager:
         obs = [rng.standard_normal(4), rng.standard_normal(3)]
         act = [rng.standard_normal(2), rng.standard_normal(2)]
         store.append_joint(obs, act, [1.0, 2.0], obs, [False, True])
-        rows = legacy(store.gather_rows, [0])
+        rows = store.gather_joint([0])
         for k in range(2):
             o, a, r, no, d = store.unpack_agent(rows, k)
             np.testing.assert_array_equal(o[0], obs[k])
@@ -65,7 +59,7 @@ class TestKVStoreEager:
                 [False, False],
             )
         assert len(store) == 16
-        rows = legacy(store.gather_rows, [0])
+        rows = store.gather_joint([0])
         _, _, r, _, _ = store.unpack_agent(rows, 0)
         assert r[0] == 16.0  # slot 0 overwritten by insert 16
 
@@ -77,7 +71,7 @@ class TestKVStoreEager:
     def test_gather_validation(self, rng):
         store, _ = self.make_store()
         with pytest.raises(ValueError):
-            legacy(store.gather_rows, [0])  # empty store
+            store.gather_joint([0])  # empty store
         store.append_joint(
             [np.zeros(4), np.zeros(3)],
             [np.zeros(2), np.zeros(2)],
@@ -86,9 +80,9 @@ class TestKVStoreEager:
             [False, False],
         )
         with pytest.raises(IndexError):
-            legacy(store.gather_rows, [5])
+            store.gather_joint([5])
         with pytest.raises(ValueError):
-            legacy(store.gather_rows, [])
+            store.gather_joint([])
 
     def test_unpack_agent_index_validation(self, rng):
         store, _ = self.make_store()
@@ -99,7 +93,7 @@ class TestKVStoreEager:
             [np.zeros(4), np.zeros(3)],
             [False, False],
         )
-        rows = legacy(store.gather_rows, [0])
+        rows = store.gather_joint([0])
         with pytest.raises(IndexError):
             store.unpack_agent(rows, 2)
 
@@ -110,7 +104,7 @@ class TestKVStoreIngest:
         moved = store.ingest(small_replay.buffers)
         assert moved == len(small_replay) * small_replay.schema.width
         idx = rng.integers(0, len(small_replay), size=32)
-        rows = legacy(store.gather_rows, idx)
+        rows = store.gather_joint(idx)
         for k, buf in enumerate(small_replay.buffers):
             kv_fields = store.unpack_agent(rows, k)
             am_fields = buf.gather_vectorized(idx)
@@ -120,7 +114,7 @@ class TestKVStoreIngest:
     def test_gather_all_agents_is_complete(self, rng, small_replay):
         store = KVTransitionStore(small_replay.capacity, small_replay.schema)
         store.ingest(small_replay.buffers)
-        out = legacy(store.gather_all_agents, [0, 1, 2])
+        out = dict(enumerate(store.gather_fields([0, 1, 2])))
         assert set(out) == {0, 1, 2}
         assert out[0][0].shape == (3, 16)
         assert out[2][0].shape == (3, 14)
@@ -177,14 +171,14 @@ class TestMultiAgentReplay:
             replay.add([np.zeros(4), np.zeros(4)], [np.zeros(2)], [0.0], [np.zeros(4)], [False])
 
     def test_gather_all_returns_per_agent_fields(self, rng, small_replay):
-        out = legacy(small_replay.gather_all, [0, 1, 2])
+        out = small_replay.gather([0, 1, 2])
         assert len(out) == 3
         assert out[0][0].shape == (3, 16)
 
     def test_gather_all_vectorized_matches_loop(self, rng, small_replay):
         idx = rng.integers(0, len(small_replay), size=16)
-        loop = legacy(small_replay.gather_all, idx, vectorized=False)
-        fast = legacy(small_replay.gather_all, idx, vectorized=True)
+        loop = small_replay.gather(idx, vectorized=False)
+        fast = small_replay.gather(idx, vectorized=True)
         for la, fa in zip(loop, fast):
             for a, b in zip(la, fa):
                 np.testing.assert_array_equal(a, b)

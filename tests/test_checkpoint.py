@@ -5,35 +5,35 @@ import pytest
 
 from repro.algos import (
     MADDPGTrainer,
-    MARLConfig,
     MATD3Trainer,
     checkpoint_metadata,
     load_checkpoint,
     save_checkpoint,
 )
 from repro.nn.functional import one_hot
+from tests.conftest import engine_config
 
 
 def make_trainer(cls=MADDPGTrainer, seed=0):
-    config = MARLConfig(batch_size=16, buffer_capacity=256, update_every=8)
+    config = engine_config(batch_size=16, buffer_capacity=256, update_every=8)
     return cls([6, 4], [3, 3], config=config, seed=seed)
 
 
 def make_homog_trainer(
     cls=MADDPGTrainer,
     seed=0,
-    storage=None,
     batched_update=False,
     sampler=None,
     capacity=256,
+    **engine,
 ):
     """Homogeneous dims so the batched update engine is applicable."""
-    config = MARLConfig(
+    config = engine_config(
         batch_size=16,
         buffer_capacity=capacity,
         update_every=8,
-        storage=storage,
         batched_update=batched_update,
+        **engine,
     )
     return cls([5, 5], [3, 3], config=config, sampler=sampler, seed=seed)
 
@@ -293,7 +293,7 @@ class TestValidation:
         trainer = make_trainer(seed=1)
         path = str(tmp_path / "ckpt.npz")
         save_checkpoint(trainer, path)
-        config = MARLConfig(batch_size=16, buffer_capacity=256)
+        config = engine_config(batch_size=16, buffer_capacity=256)
         wrong = MADDPGTrainer([8, 4], [3, 3], config=config, seed=0)
         with pytest.raises(ValueError, match="dimensions"):
             load_checkpoint(wrong, path)

@@ -55,7 +55,7 @@ FIELD_VALUES = {
     "replay_shards": (1, 2),
     "learners": (1, 2),
     "param_staleness": (1, 4),
-    "backend": ("numpy", "numpy"),
+    "backend": ("numpy", "numba"),
 }
 
 
@@ -177,8 +177,7 @@ class TestLayerSemantics:
             env={"REPRO_STORAGE": "timestep_major", "REPRO_REPLAY_SHARDS": "2"}
         )
         assert resolved.config.storage == "timestep_major"
-        assert resolved.config.resolved_storage == "timestep_major"
-        assert resolved.config.resolved_replay_shards == 2
+        assert resolved.config.replay_shards == 2
 
     def test_from_source_filters_by_prefix(self):
         resolved = resolve_config(
@@ -204,9 +203,20 @@ class TestRejection:
         with pytest.raises(ValueError, match="spec file"):
             resolve_config(file={"config": {"nope": 1}}, env={})
 
-    def test_uncoercible_env_value(self):
-        with pytest.raises(ValueError, match="batch_size"):
-            resolve_config(env={"REPRO_BATCH_SIZE": "many"})
+    @pytest.mark.parametrize(
+        "var, raw, match",
+        [
+            ("REPRO_BATCH_SIZE", "many", "batch_size"),
+            ("REPRO_ENV_WORKERS", "bogus", "env_workers"),
+            ("REPRO_REPLAY_SHARDS", "two", "replay_shards"),
+            ("REPRO_REPLAY_SHARDS", "0", ">= 1"),
+            ("REPRO_STORAGE", "column_major", "unknown storage engine"),
+            ("REPRO_BACKEND", "cuda", "unknown backend"),
+        ],
+    )
+    def test_bad_env_value(self, var, raw, match):
+        with pytest.raises(ValueError, match=match):
+            resolve_config(env={var: raw})
 
     def test_unknown_env_var_name(self):
         with pytest.raises(ValueError, match="unknown MARLConfig field"):

@@ -11,6 +11,7 @@ from repro.core import (
     ThresholdNeighborPredictor,
     UniformSampler,
 )
+from tests.conftest import ENGINE
 
 
 class TestUniformSampler:
@@ -48,7 +49,7 @@ class TestUniformSampler:
         from repro.buffers import MultiAgentReplay
         from tests.conftest import fill_multi_agent_replay
 
-        replay = MultiAgentReplay([4], [2], capacity=64)
+        replay = MultiAgentReplay([4], [2], capacity=64, storage=ENGINE["storage"])
         fill_multi_agent_replay(replay, rng, 10)
         with pytest.raises(ValueError, match="need >= 32"):
             UniformSampler().sample(replay, rng, batch_size=32)
@@ -56,7 +57,7 @@ class TestUniformSampler:
     def test_empty_replay_raises(self, rng):
         from repro.buffers import MultiAgentReplay
 
-        replay = MultiAgentReplay([4], [2], capacity=64)
+        replay = MultiAgentReplay([4], [2], capacity=64, storage=ENGINE["storage"])
         with pytest.raises(ValueError, match="empty"):
             UniformSampler().sample(replay, rng, batch_size=4)
 

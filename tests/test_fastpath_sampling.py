@@ -22,7 +22,7 @@ from repro.core import (
     UniformSampler,
 )
 from repro.core.indices import Run, expand_run_arrays, expand_runs
-from tests.conftest import fill_multi_agent_replay
+from tests.conftest import ENGINE, engine_config, fill_multi_agent_replay
 
 
 def spread_priorities(replay: MultiAgentReplay, seed: int = 9) -> None:
@@ -254,12 +254,6 @@ class TestGatherRuns:
             buf.gather_runs([Run(len(buf), 4)])
 
 
-def legacy(method, *args, **kwargs):
-    """Call a deprecated alias, asserting it warns (aliases are graduating)."""
-    with pytest.warns(DeprecationWarning, match="is deprecated; use"):
-        return method(*args, **kwargs)
-
-
 class TestKVGatherRowsFast:
     def test_fancy_index_matches_loop(self, rng, small_replay):
         from repro.buffers import KVTransitionStore
@@ -268,7 +262,7 @@ class TestKVGatherRowsFast:
         store.ingest(small_replay.buffers)
         idx = rng.integers(0, len(small_replay), size=64)
         np.testing.assert_array_equal(
-            legacy(store.gather_rows, idx), legacy(store.gather_rows_loop, idx)
+            store.gather_joint(idx), store.gather_joint(idx, vectorized=False)
         )
 
     def test_loop_path_validation_preserved(self, small_replay):
@@ -276,11 +270,11 @@ class TestKVGatherRowsFast:
 
         store = KVTransitionStore(small_replay.capacity, small_replay.schema)
         store.ingest(small_replay.buffers)
-        for gather in (store.gather_rows, store.gather_rows_loop):
+        for vectorized in (True, False):
             with pytest.raises(IndexError, match="out of range"):
-                legacy(gather, [len(small_replay)])
+                store.gather_joint([len(small_replay)], vectorized=vectorized)
             with pytest.raises(ValueError, match="empty index list"):
-                legacy(gather, [])
+                store.gather_joint([], vectorized=vectorized)
 
 
 # -- whole-sampler scalar/fast equivalence -------------------------------------------
@@ -344,7 +338,9 @@ class TestSamplerEquivalence:
     def test_info_prioritized_property(self, seed):
         """The trickiest equivalence (dynamic reference counts): chunked
         fast draws must replay the scalar while-loop's stream exactly."""
-        replay = MultiAgentReplay([6, 4], [3, 3], capacity=512, prioritized=True)
+        replay = MultiAgentReplay(
+            [6, 4], [3, 3], capacity=512, prioritized=True, storage=ENGINE["storage"]
+        )
         fill_rng = np.random.default_rng(seed % 1000)
         fill_multi_agent_replay(replay, fill_rng, 300)
         spread_priorities(replay, seed=seed % 97)
@@ -371,8 +367,12 @@ class TestSamplerEquivalence:
 
     def test_update_priorities_keeps_equivalence(self, rng):
         """Full loop: sample -> priority write-back -> sample again."""
-        scalar_replay = MultiAgentReplay([6], [3], capacity=256, prioritized=True)
-        fast_replay = MultiAgentReplay([6], [3], capacity=256, prioritized=True)
+        scalar_replay, fast_replay = (
+            MultiAgentReplay(
+                [6], [3], capacity=256, prioritized=True, storage=ENGINE["storage"]
+            )
+            for _ in range(2)
+        )
         fill_multi_agent_replay(scalar_replay, np.random.default_rng(4), 200)
         fill_multi_agent_replay(fast_replay, np.random.default_rng(4), 200)
         spread_priorities(scalar_replay)
@@ -416,37 +416,29 @@ class TestFastPathThreading:
         assert wrapped.base.fast_path is True
 
     def test_config_threads_into_trainer(self):
-        from repro.algos import MADDPGTrainer, MARLConfig
+        from repro.algos import MADDPGTrainer
 
-        config = MARLConfig(batch_size=32, buffer_capacity=256, fast_path=True)
+        config = engine_config(batch_size=32, buffer_capacity=256, fast_path=True)
         trainer = MADDPGTrainer([4, 4], [2, 2], config=config, seed=0)
         assert trainer.fast_path is True
         assert trainer.sampler.fast_path is True
 
-    def test_explicit_flag_overrides_config(self):
-        from repro.algos import MADDPGTrainer, MARLConfig
-
-        config = MARLConfig(batch_size=32, buffer_capacity=256, fast_path=True)
-        trainer = MADDPGTrainer([4], [2], config=config, fast_path=False, seed=0)
-        assert trainer.fast_path is False
-
     def test_build_trainer_respects_config(self):
-        from repro.algos import MARLConfig
         from repro.algos.variants import build_trainer
 
-        config = MARLConfig(batch_size=32, buffer_capacity=256, fast_path=True)
+        config = engine_config(batch_size=32, buffer_capacity=256, fast_path=True)
         trainer = build_trainer("maddpg", "info_prioritized", [4, 4], [2, 2], config=config)
         assert trainer.sampler.fast_path is True
 
     def test_fast_path_training_reward_identical(self):
         """End-to-end: a short training run's losses are unchanged by
         the fast path (the 'reward curves unchanged' criterion)."""
-        from repro.algos import MADDPGTrainer, MARLConfig
+        from repro.algos import MADDPGTrainer
         from repro.core import InformationPrioritizedSampler
 
         results = []
         for fast in (False, True):
-            config = MARLConfig(batch_size=16, buffer_capacity=128, update_every=8)
+            config = engine_config(batch_size=16, buffer_capacity=128, update_every=8)
             trainer = MADDPGTrainer(
                 [4, 4],
                 [2, 2],

@@ -11,12 +11,6 @@ from repro.envs import SyncVectorEnv, make
 from tests.conftest import fill_multi_agent_replay
 
 
-def legacy(method, *args, **kwargs):
-    """Call a deprecated alias, asserting it warns (aliases are graduating)."""
-    with pytest.warns(DeprecationWarning, match="is deprecated; use"):
-        return method(*args, **kwargs)
-
-
 class TestRowwiseIngest:
     def make_replay(self, rng, rows=60):
         replay = MultiAgentReplay([6, 4], [3, 3], capacity=128)
@@ -31,7 +25,7 @@ class TestRowwiseIngest:
         rowwise.ingest_rowwise(replay.buffers)
         idx = list(range(len(replay)))
         np.testing.assert_array_equal(
-            legacy(block.gather_rows, idx), legacy(rowwise.gather_rows, idx)
+            block.gather_joint(idx), rowwise.gather_joint(idx)
         )
 
     def test_rowwise_counts_same_floats_as_block(self, rng):

@@ -25,7 +25,14 @@ from repro.memsim import (
 from repro.memsim.cache import CacheConfig
 from repro.memsim.prefetcher import PrefetcherConfig
 from repro.memsim.tlb import TLBConfig
-from repro.nn.backend import kernel_backend
+from repro.nn.backend import get_backend, kernel_backend
+from tests.conftest import ENGINE
+
+#: Kernel set under test: the matrix-selected backend's when it carries
+#: one (the numba CI job), python mode otherwise.
+KERNELS = get_backend(ENGINE["backend"]).kernels
+if KERNELS is None:
+    KERNELS = kernel_backend().kernels
 
 #: Tiny geometry: 2-way 32-set L1 etc., so a few thousand addresses
 #: exercise hits, misses, evictions, TLB replacement, and stream LRU.
@@ -44,7 +51,7 @@ TINY_NO_PF = HierarchyConfig(
 
 
 def _pair(config):
-    return MemoryHierarchy(config), CompiledMemoryHierarchy(config)
+    return MemoryHierarchy(config), CompiledMemoryHierarchy(config, kernels=KERNELS)
 
 
 def _assert_equal_counts(oracle, compiled, trace):
@@ -126,8 +133,7 @@ class TestMakeHierarchy:
         sim = make_hierarchy(TINY, backend="numpy")
         assert isinstance(sim, MemoryHierarchy)
 
-    def test_default_resolution_follows_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+    def test_default_is_the_reference(self):
         assert isinstance(make_hierarchy(TINY), MemoryHierarchy)
 
     def test_kernel_backend_returns_compiled(self):

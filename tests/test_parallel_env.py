@@ -18,12 +18,7 @@ import numpy as np
 import pytest
 
 from repro.buffers.multi_agent import MultiAgentReplay
-from repro.envs.factory import (
-    ENV_WORKERS_VAR,
-    make_env_factories,
-    make_vector_env,
-    resolve_env_workers,
-)
+from repro.envs.factory import make_env_factories, make_vector_env
 from repro.envs.parallel import SHM_PREFIX, ParallelVectorEnv, WorkerCrashError
 from repro.envs.vector import SyncVectorEnv
 
@@ -52,12 +47,6 @@ def rollout(vec, steps, seed=123):
 
 def leaked_segments():
     return glob.glob(f"/dev/shm/{SHM_PREFIX}*")
-
-
-def legacy(method, *args, **kwargs):
-    """Call a deprecated alias, asserting it warns (aliases are graduating)."""
-    with pytest.warns(DeprecationWarning, match="is deprecated; use"):
-        return method(*args, **kwargs)
 
 
 class TestTrajectoryEquivalence:
@@ -104,7 +93,7 @@ class TestTrajectoryEquivalence:
             par.close()
 
     def test_packed_rows_ingest_like_field_writes(self):
-        """add_packed_batch(packed_transitions()) == add_batch(field views)
+        """ingest(packed_rows=packed_transitions()) == ingest(field views)
         for both storage engines."""
         factories = make_env_factories(ENV, N, K, seed=9)
         par = ParallelVectorEnv(factories, num_workers=2)
@@ -120,16 +109,9 @@ class TestTrajectoryEquivalence:
             for _ in range(6):
                 par.step(soft_actions(par, rng))
                 rows = par.packed_transitions()
-                legacy(packed.add_packed_batch, rows)
+                packed.ingest(packed_rows=rows)
                 views = par.transition_views()
-                legacy(
-                    split.add_batch,
-                    [v[0] for v in views],
-                    [v[1] for v in views],
-                    [v[2] for v in views],
-                    [v[3] for v in views],
-                    [v[4] for v in views],
-                )
+                split.ingest(tuple([v[f] for v in views] for f in range(5)))
             assert len(packed) == len(split) == 6 * K
             for a in range(N):
                 pb, sb = packed.buffers[a], split.buffers[a]
@@ -222,19 +204,6 @@ class TestFactory:
             assert par.num_workers == 2
         finally:
             par.close()
-
-    def test_env_var_default(self, monkeypatch):
-        monkeypatch.setenv(ENV_WORKERS_VAR, "2")
-        assert resolve_env_workers(None) == 2
-        assert resolve_env_workers(0) == 0  # explicit wins
-        vec = make_vector_env(ENV, N, 2, seed=0)
-        try:
-            assert isinstance(vec, ParallelVectorEnv)
-        finally:
-            vec.close()
-        monkeypatch.setenv(ENV_WORKERS_VAR, "bogus")
-        with pytest.raises(ValueError):
-            resolve_env_workers(None)
 
     def test_seeded_factories_decorrelate_copies(self):
         factories = make_env_factories(ENV, N, 3, seed=5)

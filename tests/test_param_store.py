@@ -30,10 +30,9 @@ def make_small_trainer(seed: int):
     import repro
     from repro.algos.config import MARLConfig
 
-    config = MARLConfig(hidden_units=(8, 8))
+    config = MARLConfig(hidden_units=(8, 8), storage="timestep_major")
     return repro.make_trainer(
-        "maddpg", "baseline", [4, 3], [2, 2], config=config, seed=seed,
-        storage="timestep_major",
+        "maddpg", "baseline", [4, 3], [2, 2], config=config, seed=seed
     )
 
 

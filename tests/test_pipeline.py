@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 import repro
-from repro.algos.config import MARLConfig
 from repro.envs.factory import make_env_factories, make_vector_env
 from repro.envs.vector import SyncVectorEnv
 from repro.profiling.phases import (
@@ -24,6 +23,7 @@ from repro.profiling.phases import (
     WORKER_WAIT,
 )
 from repro.training import PrefetchPipeline, collect_steps, train_steps
+from tests.conftest import engine_config
 
 ENV, N = "cooperative_navigation", 3
 
@@ -37,7 +37,7 @@ def small_config(**overrides):
         hidden_units=(16, 16),
     )
     base.update(overrides)
-    return MARLConfig(**base)
+    return engine_config(**base)
 
 
 def build(algorithm, variant, vec, config, seed=11):
@@ -47,15 +47,42 @@ def build(algorithm, variant, vec, config, seed=11):
 
 
 def run_pipeline(algorithm, variant, workers, prefetch, steps=50, copies=4, **cfg):
-    config = small_config(**cfg)
+    config = small_config(prefetch=prefetch, **cfg)
     vec = make_vector_env(ENV, N, copies, seed=5, workers=workers)
     trainer = build(algorithm, variant, vec, config)
     try:
-        result = train_steps(vec, trainer, steps, prefetch=prefetch, prefetch_seed=99)
+        result = train_steps(vec, trainer, steps, seed=99)
     finally:
         if hasattr(vec, "close"):
             vec.close()
     return trainer, result
+
+
+def sequential_reference(trainer, steps, copies, seed, num_agents=N, **env_kwargs):
+    """The store-one / update-once loop ``train_steps`` must reproduce:
+    step the same seeded envs one by one, store each copy's transition
+    in copy order, and give the update cadence a chance after every row
+    (action selection stays one batched forward per agent, so the
+    exploration stream is the driver's)."""
+    factories = make_env_factories(ENV, num_agents, copies, seed=seed, **env_kwargs)
+    envs = [f() for f in factories]
+    obs = [env.reset() for env in envs]
+    for _ in range(steps):
+        stacked = [
+            np.stack([obs[k][a] for k in range(copies)]) for a in range(num_agents)
+        ]
+        actions = [
+            trainer.agents[a].act(stacked[a], rng=trainer.rng, explore=True)
+            for a in range(num_agents)
+        ]
+        for k, env in enumerate(envs):
+            per_env = [actions[a][k] for a in range(num_agents)]
+            next_obs, rews, dones, _ = env.step(per_env)
+            if all(dones):
+                next_obs = env.reset()
+            trainer.experience(obs[k], per_env, rews, next_obs, [bool(d) for d in dones])
+            trainer.update()
+            obs[k] = next_obs
 
 
 def assert_trainers_equal(a, b):
@@ -228,25 +255,7 @@ class TestCollectStepsAutoReset:
         collect_steps(vec, vec_trainer, steps=steps)
 
         ref_trainer = build("maddpg", "baseline", vec, config, seed=7)
-        envs = [f() for f in make_env_factories(ENV, N, copies, seed=4, max_episode_len=5)]
-        obs = [env.reset() for env in envs]
-        for _ in range(steps):
-            stacked = [
-                np.stack([obs[k][a] for k in range(copies)]) for a in range(N)
-            ]
-            actions = [
-                ref_trainer.agents[a].act(stacked[a], rng=ref_trainer.rng, explore=True)
-                for a in range(N)
-            ]
-            for k, env in enumerate(envs):
-                per_env = [actions[a][k] for a in range(N)]
-                next_obs, rews, dones, _ = env.step(per_env)
-                if all(dones):
-                    next_obs = env.reset()
-                ref_trainer.experience(
-                    obs[k], per_env, rews, next_obs, [bool(d) for d in dones]
-                )
-                obs[k] = next_obs
+        sequential_reference(ref_trainer, steps, copies, seed=4, max_episode_len=5)
         assert len(ref_trainer.replay) == len(vec_trainer.replay)
         for a in range(N):
             ra, va = ref_trainer.replay.buffers[a], vec_trainer.replay.buffers[a]

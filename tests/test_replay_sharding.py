@@ -14,11 +14,9 @@ import pytest
 from repro.buffers.multi_agent import MultiAgentReplay
 from repro.buffers.transition import JointSchema
 from repro.replay import (
-    REPLAY_SHARDS_VAR,
     ShardRouter,
     ShardedReplay,
     allocate_proportional,
-    resolve_replay_shards,
     rows_in_order,
 )
 
@@ -30,25 +28,6 @@ SCHEMA = JointSchema.from_dims(OBS_DIMS, ACT_DIMS)
 def make_rows(count: int, seed: int = 0) -> np.ndarray:
     rng = np.random.default_rng(seed)
     return rng.normal(size=(count, SCHEMA.width)).astype(np.float64)
-
-
-class TestResolveShards:
-    def test_explicit_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv(REPLAY_SHARDS_VAR, "8")
-        assert resolve_replay_shards(3) == 3
-
-    def test_env_fallback_then_default(self, monkeypatch):
-        monkeypatch.setenv(REPLAY_SHARDS_VAR, "4")
-        assert resolve_replay_shards() == 4
-        monkeypatch.delenv(REPLAY_SHARDS_VAR)
-        assert resolve_replay_shards() == 1
-
-    def test_rejects_garbage(self, monkeypatch):
-        monkeypatch.setenv(REPLAY_SHARDS_VAR, "two")
-        with pytest.raises(ValueError, match="integer"):
-            resolve_replay_shards()
-        with pytest.raises(ValueError, match=">= 1"):
-            resolve_replay_shards(0)
 
 
 class TestShardRouter:

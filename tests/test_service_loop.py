@@ -1,161 +1,168 @@
-"""Service-mode training tests (PR 7 tentpole acceptance).
+"""Topology tests of the one step-driven driver, ``train_steps``.
 
-The mandatory anchor: ``train_service(shards=1, learners=1)`` IS the
-serial loop, bit for bit — property-tested across MADDPG and MATD3,
-N ∈ {3, 6}, with and without prioritized replay.  PER configs asked to
-shard must degrade *explicitly* (warning + guard) to that same serial
-path.  The multi-process mode is smoke-tested end to end: learners make
-progress, parameters merge back, counters reconcile, nothing leaks.
+The driver reads its topology from ``trainer.config``:
+``(replay_shards, learners, prefetch)``.  The serial cell ``(1, 1, off)``
+must reproduce the store-one / update-once sequential reference bit for
+bit; prefetch keeps its validity properties; the service cells (shard
+servers + learner processes) must conserve rows, merge the learners'
+work back, and leak nothing.  Prioritized replay lands on the reference
+in *every* cell: the PER guard degrades service topologies explicitly,
+and the epoch guard discards every prefetched round.
+
+The learners run the trainer's own update round on an injected batch;
+``TestInjectedRound`` pins that to the standalone round function it
+replaced.
 """
 
 from __future__ import annotations
 
-import copy
 import glob
 
 import numpy as np
 import pytest
 
 from repro.envs.factory import make_vector_env
-from repro.training import train_service, train_steps
+from repro.profiling.phases import LOSS_UPDATE, TARGET_Q, UPDATE_ALL_TRAINERS
+from repro.replay import minibatch_from_rows
+from repro.telemetry import memory_recorder
+from repro.training import train_steps
 
-from tests.test_pipeline import ENV, assert_trainers_equal, build, small_config
+from tests.test_pipeline import (
+    ENV,
+    assert_trainers_equal,
+    build,
+    sequential_reference,
+    small_config,
+)
 
+COPIES, STEPS, ENV_SEED = 4, 60, 5
 
-def make_pair(algorithm, variant, num_agents, copies=4, **cfg):
-    """Two identically seeded (vec_env, trainer) pairs."""
-    pairs = []
-    for _ in range(2):
-        vec = make_vector_env(ENV, num_agents, copies, seed=5)
-        pairs.append((vec, build(algorithm, variant, vec, small_config(**cfg))))
-    return pairs
+#: (replay_shards, learners, prefetch)
+TOPOLOGIES = [(1, 1, False), (1, 1, True), (2, 1, False), (2, 2, False)]
 
 
 def shm_leaks():
     return glob.glob("/dev/shm/repro_svc_*") + glob.glob("/dev/shm/repro_param_*")
 
 
-class TestSerialAnchor:
-    """shards=1, learners=1 reproduces train_steps bit for bit."""
-
-    @pytest.mark.parametrize("algorithm", ["maddpg", "matd3"])
-    @pytest.mark.parametrize("num_agents", [3, 6])
-    def test_uniform_bit_identity(self, algorithm, num_agents):
-        (vec_a, ref), (vec_b, svc) = make_pair(algorithm, "baseline", num_agents)
-        try:
-            train_steps(vec_a, ref, 50)
-            result = train_service(vec_b, svc, 50, shards=1, learners=1)
-        finally:
-            vec_a.close() if hasattr(vec_a, "close") else None
-            vec_b.close() if hasattr(vec_b, "close") else None
-        assert_trainers_equal(ref, svc)
-        assert result.update_rounds == ref.update_rounds
-
-    @pytest.mark.parametrize("algorithm", ["maddpg", "matd3"])
-    @pytest.mark.parametrize("num_agents", [3, 6])
-    def test_prioritized_bit_identity(self, algorithm, num_agents):
-        (vec_a, ref), (vec_b, svc) = make_pair(algorithm, "per", num_agents)
-        try:
-            train_steps(vec_a, ref, 50)
-            train_service(vec_b, svc, 50, shards=1, learners=1)
-        finally:
-            vec_a.close() if hasattr(vec_a, "close") else None
-            vec_b.close() if hasattr(vec_b, "close") else None
-        assert_trainers_equal(ref, svc)
+def run_topology(algorithm, variant, shards, learners, prefetch, telemetry=None):
+    config = small_config(
+        min_buffer_fill=32, batch_size=16,
+        replay_shards=shards, learners=learners, prefetch=prefetch,
+    )
+    vec = make_vector_env(ENV, 3, COPIES, seed=ENV_SEED, workers=0)
+    trainer = build(algorithm, variant, vec, config)
+    initial = [p.value.copy() for a in trainer.agents for p in a.actor.parameters()]
+    result = train_steps(vec, trainer, STEPS, seed=7, telemetry=telemetry)
+    final = [p.value for a in trainer.agents for p in a.actor.parameters()]
+    moved = any(not np.array_equal(p, q) for p, q in zip(initial, final))
+    return trainer, result, moved
 
 
-class TestPerGuard:
-    """PER + sharding degrades explicitly to the serial anchor."""
-
-    def test_warns_and_runs_serial_bit_identically(self):
-        (vec_a, ref), (vec_b, svc) = make_pair("maddpg", "per", 3)
-        try:
-            train_steps(vec_a, ref, 40)
-            with pytest.warns(RuntimeWarning, match="single-shard guard"):
-                result = train_service(vec_b, svc, 40, shards=2, learners=2)
-        finally:
-            vec_a.close() if hasattr(vec_a, "close") else None
-            vec_b.close() if hasattr(vec_b, "close") else None
-        assert_trainers_equal(ref, svc)
-        assert "learner_rounds" not in result.extra  # serial path, no service
-
-    def test_guard_emits_telemetry_counter(self):
-        from repro.telemetry import memory_recorder
-
-        vec = make_vector_env(ENV, 3, 2, seed=5)
-        trainer = build("maddpg", "per", vec, small_config())
-        recorder = memory_recorder()
-        try:
-            with pytest.warns(RuntimeWarning):
-                train_service(vec, trainer, 5, shards=4, telemetry=recorder)
-        finally:
-            vec.close() if hasattr(vec, "close") else None
-        names = [r.name for r in recorder.sink.of_kind("counter")]
-        assert "service.per_guard" in names
+def reference(algorithm, variant):
+    """The sequential store-one / update-once run of the same cell."""
+    vec = make_vector_env(ENV, 3, COPIES, seed=ENV_SEED, workers=0)
+    trainer = build(algorithm, variant, vec, small_config(min_buffer_fill=32, batch_size=16))
+    sequential_reference(trainer, STEPS, COPIES, seed=ENV_SEED)
+    return trainer
 
 
-class TestServiceMode:
-    """2 shards × 2 learners end to end: progress, merge, reconciliation."""
-
-    def test_end_to_end_smoke(self):
+@pytest.mark.parametrize("algorithm", ["maddpg", "matd3"])
+@pytest.mark.parametrize("shards,learners,prefetch", TOPOLOGIES)
+class TestTopologies:
+    def test_uniform(self, algorithm, shards, learners, prefetch):
         leaks_before = set(shm_leaks())
-        vec = make_vector_env(ENV, 3, 4, seed=5)
-        trainer = build(
-            "maddpg", "baseline", vec, small_config(min_buffer_fill=32, batch_size=16)
+        recorder = memory_recorder()
+        trainer, result, moved = run_topology(
+            algorithm, "baseline", shards, learners, prefetch, telemetry=recorder
         )
-        initial = [
-            [p.value.copy() for p in agent.actor.parameters()]
-            for agent in trainer.agents
-        ]
-        try:
-            result = train_service(
-                vec, trainer, 60, shards=2, learners=2, env_name=ENV, seed=7
+        assert result.extra["transitions"] == STEPS * COPIES
+        if shards > 1 or learners > 1:
+            extra = result.extra
+            assert extra["replay_shards"] == shards and extra["learners"] == learners
+            # every pushed transition landed in exactly one shard
+            ingested = sum(extra[f"shard{s}_ingested"] for s in range(shards))
+            assert ingested == extra["transitions"]
+            # the learners' work merged back: rounds, phase totals, parameters
+            assert result.update_rounds == int(extra["learner_rounds"]) > 0
+            assert extra["sampled_rows"] > 0
+            assert 0.0 < extra["learner_utilization"] <= 1.0
+            assert result.phase_totals.get("service_push", 0.0) > 0.0
+            assert any(k.startswith("learner.") for k in result.phase_totals)
+            assert moved, "no learner progress merged back into the trainer"
+            assert set(shm_leaks()) <= leaks_before
+            units = {r.name: r.unit for r in recorder.sink.of_kind("counter")}
+            assert units["service.shards"] == "shards"
+            assert units["service.staleness_max"] == "versions"
+            assert all(units[f"service.shard{s}.ingested"] == "rows" for s in range(shards))
+        elif prefetch:
+            assert result.extra["prefetch_hits"] > 0
+            assert result.extra["prefetch_stale"] == 0
+        else:
+            assert_trainers_equal(reference(algorithm, "baseline"), trainer)
+
+    def test_prioritized(self, algorithm, shards, learners, prefetch):
+        recorder = memory_recorder()
+        if shards > 1 or learners > 1:
+            with pytest.warns(RuntimeWarning, match="single-shard guard"):
+                trainer, result, _ = run_topology(
+                    algorithm, "per", shards, learners, prefetch, telemetry=recorder
+                )
+        else:
+            trainer, result, _ = run_topology(
+                algorithm, "per", shards, learners, prefetch, telemetry=recorder
             )
-        finally:
-            vec.close() if hasattr(vec, "close") else None
+        guard = [
+            r for r in recorder.sink.of_kind("counter") if r.name == "service.per_guard"
+        ]
+        assert len(guard) == (1 if shards > 1 or learners > 1 else 0)
+        assert "learner_rounds" not in result.extra  # local hand-off, no service
+        if prefetch:
+            assert result.extra["prefetch_hits"] == 0  # the epoch guard discards all
+        assert_trainers_equal(reference(algorithm, "per"), trainer)
 
-        assert result.extra["replay_shards"] == 2.0
-        assert result.extra["learners"] == 2.0
-        assert result.extra["learner_rounds"] > 0
-        assert result.extra["sampled_rows"] > 0
-        assert result.extra["sampled_rows_per_s"] > 0
-        assert 0.0 < result.extra["learner_utilization"] <= 1.0
-        assert result.extra["staleness_max"] >= 0
-        assert result.update_rounds == int(result.extra["learner_rounds"])
-        # every pushed transition landed in exactly one shard
-        ingested = result.extra["shard0_ingested"] + result.extra["shard1_ingested"]
-        assert ingested == result.extra["transitions"] == 60 * 4
-        # the learners' merged parameters actually moved the trainer
-        moved = any(
-            not np.array_equal(p.value, q)
-            for agent, saved in zip(trainer.agents, initial)
-            for p, q in zip(agent.actor.parameters(), saved)
-        )
-        assert moved, "no learner progress merged back into the trainer"
-        assert set(shm_leaks()) <= leaks_before
 
-    def test_env_var_topology_resolution(self, monkeypatch):
-        """shards=None resolves through REPRO_REPLAY_SHARDS."""
-        monkeypatch.setenv("REPRO_REPLAY_SHARDS", "2")
-        vec = make_vector_env(ENV, 3, 2, seed=5)
-        trainer = build(
-            "maddpg", "baseline", vec, small_config(min_buffer_fill=32, batch_size=16)
-        )
-        try:
-            result = train_service(vec, trainer, 30, learners=1, max_rounds=4, seed=3)
-        finally:
-            vec.close() if hasattr(vec, "close") else None
-        assert result.extra["replay_shards"] == 2.0
+def injected_round_reference(trainer, batch, agents):
+    """The standalone service-mode round ``trainer._injected_round``
+    replaced (``replay.coordinator.run_injected_round``), kept verbatim."""
+    owned = list(agents)
+    policy_due = trainer._policy_update_due()
+    trainer.steps_since_update = 0
+    trainer.sampler.set_beta(trainer.beta_schedule.step())
+    trainer._shared_round_batch = None
+    trainer._round_cache = {}
+    trainer._prefetched_round = {}
+    with trainer.timer.phase(UPDATE_ALL_TRAINERS):
+        for i in owned:
+            with trainer.timer.phase(TARGET_Q):
+                target_q = trainer._target_q(i, batch)
+            with trainer.timer.phase(LOSS_UPDATE):
+                critic_x = trainer._critic_input_cached(batch)
+                trainer._update_critic(i, batch, target_q, critic_x=critic_x)
+                if policy_due:
+                    trainer._update_actor(i, batch, critic_x=critic_x)
+        if policy_due:
+            for i in owned:
+                trainer.agents[i].soft_update_targets()
+    trainer.update_rounds += 1
 
-    def test_learner_phase_totals_merged(self):
-        vec = make_vector_env(ENV, 3, 2, seed=5)
-        trainer = build(
-            "maddpg", "baseline", vec, small_config(min_buffer_fill=32, batch_size=16)
-        )
-        try:
-            result = train_service(vec, trainer, 40, shards=2, learners=2, seed=1)
-        finally:
-            vec.close() if hasattr(vec, "close") else None
-        totals = result.phase_totals
-        assert totals.get("service_push", 0.0) > 0.0
-        assert any(k.startswith("learner.") for k in totals), totals
+
+class TestInjectedRound:
+    @pytest.mark.parametrize("algorithm", ["maddpg", "matd3"])
+    @pytest.mark.parametrize("batched_update", [False, True])
+    def test_injected_round_matches_standalone_round(
+        self, algorithm, batched_update
+    ):
+        vec = make_vector_env(ENV, 3, 1, seed=ENV_SEED, workers=0)
+        config = small_config(batched_update=batched_update)
+        ours = build(algorithm, "baseline", vec, config)
+        theirs = build(algorithm, "baseline", vec, config)
+        rows = np.random.default_rng(3).normal(size=(32, ours.replay.schema.width))
+        batch = minibatch_from_rows(ours.replay.schema, rows)
+        owned = [0, 2]
+        for _ in range(3):  # spans MATD3's delayed policy round
+            losses = ours._injected_round(batch, owned)
+            injected_round_reference(theirs, batch, owned)
+            assert set(losses) == {"q_loss", "p_loss"}
+        assert_trainers_equal(theirs, ours)
+        assert ours.update_rounds == 3

@@ -63,18 +63,6 @@ def assert_bytes_equal(a: np.ndarray, b: np.ndarray) -> None:
 
 
 class TestResolveStorage:
-    def test_default_is_agent_major(self, monkeypatch):
-        monkeypatch.delenv("REPRO_STORAGE", raising=False)
-        assert resolve_storage(None) == "agent_major"
-
-    def test_env_var_fallback(self, monkeypatch):
-        monkeypatch.setenv("REPRO_STORAGE", "timestep_major")
-        assert resolve_storage(None) == "timestep_major"
-
-    def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_STORAGE", "timestep_major")
-        assert resolve_storage("agent_major") == "agent_major"
-
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError, match="unknown storage engine"):
             resolve_storage("column_major")
@@ -110,12 +98,6 @@ class TestArenaViews:
         assert len(tm.arena) == 4
         assert tm.arena.next_index == 6 % 4
         assert tm.buffers[0].next_index == tm.arena.next_index
-
-
-def legacy(method, *args, **kwargs):
-    """Call a deprecated alias, asserting it warns (aliases are graduating)."""
-    with pytest.warns(DeprecationWarning, match="is deprecated; use"):
-        return method(*args, **kwargs)
 
 
 class TestByteEquivalence:
@@ -185,19 +167,19 @@ class TestByteEquivalence:
         size = len(am)
         idx_rng = np.random.default_rng(seed + 2)
         idx = idx_rng.integers(0, size, size=6)
-        for fa, ft in zip(legacy(am.gather_all, idx), legacy(tm.gather_all, idx)):
+        for fa, ft in zip(am.gather(idx), tm.gather(idx)):
             for a, t in zip(fa, ft):
                 assert_bytes_equal(a, t)
         for fa, ft in zip(
-            legacy(am.gather_all, idx, vectorized=True),
-            legacy(tm.gather_all, idx, vectorized=True),
+            am.gather(idx, vectorized=True),
+            tm.gather(idx, vectorized=True),
         ):
             for a, t in zip(fa, ft):
                 assert_bytes_equal(a, t)
         # runs, including one that wraps past the valid region
         runs = [Run(start=0, length=min(3, size)), Run(start=size - 1, length=2)]
         for fa, ft in zip(
-            legacy(am.gather_runs_all, runs), legacy(tm.gather_runs_all, runs)
+            am.gather(runs=runs, vectorized=True), tm.gather(runs=runs, vectorized=True)
         ):
             for a, t in zip(fa, ft):
                 assert_bytes_equal(a, t)
@@ -212,8 +194,8 @@ class TestByteEquivalence:
         rew = [rng.standard_normal(k) for _ in am.buffers]
         nxt = [rng.standard_normal((k, b.obs_dim)) for b in am.buffers]
         done = [rng.integers(2, size=k).astype(np.float64) for _ in am.buffers]
-        legacy(am.add_batch, obs, act, rew, nxt, done)
-        legacy(tm.add_batch, obs, act, rew, nxt, done)
+        am.ingest((obs, act, rew, nxt, done))
+        tm.ingest((obs, act, rew, nxt, done))
         assert tm.arena.next_index == am.buffers[0].next_index
         for ba, bt in zip(am.buffers, tm.buffers):
             assert_bytes_equal(ba._obs, np.ascontiguousarray(bt._obs))

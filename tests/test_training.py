@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import repro
-from repro.algos import MARLConfig
 from repro.training import (
     RunResult,
     compare_curves,
@@ -14,11 +13,12 @@ from repro.training import (
     smooth_curve,
     train,
 )
+from tests.conftest import engine_config
 
 
 def small_setup(seed=0, variant="baseline", episodes=None):
     env = repro.make_env("cooperative_navigation", num_agents=2, seed=seed)
-    cfg = MARLConfig(batch_size=32, buffer_capacity=1024, update_every=25)
+    cfg = engine_config(batch_size=32, buffer_capacity=1024, update_every=25)
     trainer = repro.make_trainer(
         "maddpg", variant, env.obs_dims, env.act_dims, config=cfg, seed=seed
     )

@@ -1,190 +1,15 @@
-"""Tests for exploration schedules, normalizer, metrics, and vector envs."""
+"""Tests for task metrics, vector envs and batched collection."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
 import repro
-from repro.algos import (
-    ExponentialSchedule,
-    LinearSchedule,
-    MARLConfig,
-    OrnsteinUhlenbeckNoise,
-)
+from repro.algos import MARLConfig
 from repro.envs import SyncVectorEnv, make
-from repro.nn import RunningNormalizer
 from repro.training import (
     MetricsCollector,
     collect_steps,
     run_episode_with_metrics,
 )
-
-
-class TestLinearSchedule:
-    def test_endpoints(self):
-        sched = LinearSchedule(1.0, 0.1, steps=10)
-        assert sched.value == 1.0
-        for _ in range(10):
-            sched.step()
-        assert sched.value == pytest.approx(0.1)
-
-    def test_midpoint(self):
-        sched = LinearSchedule(1.0, 0.0, steps=4)
-        sched.step()
-        sched.step()
-        assert sched.value == pytest.approx(0.5)
-
-    def test_clamps_after_end(self):
-        sched = LinearSchedule(1.0, 0.5, steps=2)
-        for _ in range(10):
-            sched.step()
-        assert sched.value == 0.5
-
-    def test_reset(self):
-        sched = LinearSchedule(1.0, 0.0, steps=5)
-        sched.step()
-        sched.reset()
-        assert sched.value == 1.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            LinearSchedule(1.0, 0.0, steps=0)
-
-    def test_can_increase(self):
-        sched = LinearSchedule(0.0, 1.0, steps=2)
-        sched.step()
-        assert sched.value == pytest.approx(0.5)
-
-
-class TestExponentialSchedule:
-    def test_decay(self):
-        sched = ExponentialSchedule(1.0, 0.01, decay=0.5)
-        sched.step()
-        assert sched.value == pytest.approx(0.5)
-        sched.step()
-        assert sched.value == pytest.approx(0.25)
-
-    def test_floor(self):
-        sched = ExponentialSchedule(1.0, 0.3, decay=0.1)
-        for _ in range(10):
-            sched.step()
-        assert sched.value == 0.3
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ExponentialSchedule(1.0, 0.1, decay=1.0)
-        with pytest.raises(ValueError):
-            ExponentialSchedule(0.1, 1.0, decay=0.5)
-
-
-class TestOUNoise:
-    def test_mean_reversion(self):
-        noise = OrnsteinUhlenbeckNoise(
-            2, mu=0.0, theta=0.5, sigma=1e-9, rng=np.random.default_rng(0)
-        )
-        noise.state = np.array([10.0, -10.0])
-        for _ in range(50):
-            noise.sample()
-        assert np.all(np.abs(noise.state) < 1.0)
-
-    def test_temporal_correlation(self):
-        noise = OrnsteinUhlenbeckNoise(1, sigma=0.2, rng=np.random.default_rng(0))
-        samples = np.array([noise.sample()[0] for _ in range(2000)])
-        lag1 = np.corrcoef(samples[:-1], samples[1:])[0, 1]
-        assert lag1 > 0.5  # strongly autocorrelated, unlike white noise
-
-    def test_reset(self):
-        noise = OrnsteinUhlenbeckNoise(3, mu=0.7, rng=np.random.default_rng(0))
-        noise.sample()
-        noise.reset()
-        np.testing.assert_allclose(noise.state, 0.7)
-
-    def test_sample_returns_copy(self):
-        noise = OrnsteinUhlenbeckNoise(2, rng=np.random.default_rng(0))
-        a = noise.sample()
-        a[:] = 99.0
-        assert not np.any(noise.state == 99.0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            OrnsteinUhlenbeckNoise(0)
-        with pytest.raises(ValueError):
-            OrnsteinUhlenbeckNoise(2, theta=-1.0)
-
-
-class TestRunningNormalizer:
-    def test_tracks_mean_and_std(self, rng):
-        norm = RunningNormalizer(3)
-        data = rng.normal([1.0, -2.0, 5.0], [2.0, 0.5, 1.0], size=(5000, 3))
-        norm.update(data)
-        np.testing.assert_allclose(norm.mean, [1.0, -2.0, 5.0], atol=0.1)
-        np.testing.assert_allclose(np.sqrt(norm.variance), [2.0, 0.5, 1.0], atol=0.1)
-
-    def test_normalized_output_is_standardized(self, rng):
-        norm = RunningNormalizer(2)
-        data = rng.normal(3.0, 4.0, size=(2000, 2))
-        norm.update(data)
-        out = norm.normalize(data)
-        assert abs(out.mean()) < 0.05
-        assert abs(out.std() - 1.0) < 0.05
-
-    def test_clipping(self):
-        norm = RunningNormalizer(1, clip=2.0)
-        norm.update(np.zeros((10, 1)))
-        out = norm.normalize(np.array([1e9]))
-        assert out[0] == 2.0
-
-    def test_denormalize_inverts(self, rng):
-        norm = RunningNormalizer(2, clip=1e9)
-        norm.update(rng.normal(1.0, 3.0, size=(500, 2)))
-        x = rng.standard_normal(2)
-        np.testing.assert_allclose(norm.denormalize(norm.normalize(x)), x)
-
-    def test_freeze_stops_updates(self):
-        norm = RunningNormalizer(1)
-        norm.update(np.ones((5, 1)))
-        norm.freeze()
-        count = norm.count
-        norm.update(np.full((5, 1), 100.0))
-        assert norm.count == count
-        norm.unfreeze()
-        norm.update(np.ones((1, 1)))
-        assert norm.count == count + 1
-
-    def test_call_updates_and_normalizes(self):
-        norm = RunningNormalizer(1)
-        out = norm(np.array([[1.0], [3.0]]))
-        assert norm.count == 2
-        assert out.shape == (2, 1)
-
-    def test_state_dict_round_trip(self, rng):
-        a = RunningNormalizer(3)
-        a.update(rng.standard_normal((100, 3)))
-        b = RunningNormalizer(3)
-        b.load_state_dict(a.state_dict())
-        x = rng.standard_normal(3)
-        np.testing.assert_allclose(a.normalize(x), b.normalize(x))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RunningNormalizer(0)
-        norm = RunningNormalizer(2)
-        with pytest.raises(ValueError):
-            norm.update(np.zeros((3, 5)))
-        with pytest.raises(ValueError):
-            norm.load_state_dict({"mean": np.zeros(5), "m2": np.zeros(5), "count": [1]})
-
-    @given(st.lists(st.floats(min_value=-100, max_value=100), min_size=2, max_size=60))
-    @settings(max_examples=40, deadline=None)
-    def test_property_welford_matches_numpy(self, values):
-        norm = RunningNormalizer(1)
-        for v in values:
-            norm.update(np.array([[v]]))
-        np.testing.assert_allclose(norm.mean[0], np.mean(values), atol=1e-8)
-        np.testing.assert_allclose(
-            norm.variance[0], np.var(values, ddof=1), atol=1e-8
-        )
 
 
 class TestMetricsCollector:
