@@ -33,10 +33,10 @@ def bench_ablation_gather_paths(benchmark):
             replay = make_filled_replay("predator_prey", n, seed=n)
             rng = np.random.default_rng(0)
             loop = time_sampler_round(
-                UniformSampler(vectorized=False), replay, rng, BENCH_BATCH, rounds=2
+                UniformSampler(fast_path=False), replay, rng, BENCH_BATCH, rounds=2
             )
             vector = time_sampler_round(
-                UniformSampler(vectorized=True), replay, rng, BENCH_BATCH, rounds=2
+                UniformSampler(fast_path=True), replay, rng, BENCH_BATCH, rounds=2
             )
             aware = time_sampler_round(
                 CacheAwareSampler(64, BENCH_BATCH // 64), replay, rng, BENCH_BATCH, rounds=2

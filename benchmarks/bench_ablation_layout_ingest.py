@@ -30,7 +30,7 @@ def _measure(ingest: str):
     replay = make_filled_replay(
         "predator_prey", N_AGENTS, seed=2, rows=FILL, capacity=FILL
     )
-    layout = LayoutReorganizer(replay, mode="lazy", ingest=ingest)
+    layout = LayoutReorganizer(replay, ingest=ingest)
     rng = np.random.default_rng(0)
     start = time.perf_counter()
     layout.reorganize()

@@ -56,7 +56,7 @@ def _measure(n: int):
     # rowwise ingest: the paper's per-timestep hash-map assembly, whose
     # cost is what Figure 14 charges against the optimization
     including = time_layout_round(
-        LayoutReorganizer(replay, mode="lazy", ingest="rowwise"),
+        LayoutReorganizer(replay, ingest="rowwise"),
         rng,
         BENCH_BATCH,
         rounds=ROUNDS,
@@ -71,7 +71,7 @@ def _measure(n: int):
         storage="timestep_major",
     )
     excluding = time_layout_round(
-        LayoutReorganizer(arena_replay, mode="lazy"),
+        LayoutReorganizer(arena_replay),
         rng,
         BENCH_BATCH,
         rounds=ROUNDS,

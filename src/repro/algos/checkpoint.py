@@ -2,9 +2,10 @@
 
 Long MARL runs (the paper's 60k-episode trainings take days) need
 durable checkpoints.  A checkpoint captures every agent's four (or six,
-for MATD3) networks, both Adam optimizers' moment state, and the
-trainer's counters — everything required for bit-exact resumption of
-the *learning* state.  Replay contents are optionally included; at the
+for MATD3) networks, both Adam optimizers' moment state, the trainer's
+counters and its RNG stream (sampling, exploration, MATD3 smoothing
+noise) — everything required for bit-exact resumption of the
+*learning* state.  Replay contents are optionally included; at the
 paper's 1M-row capacity they dominate the file size, so they default to
 excluded (resume then behaves like a fresh buffer warm-up).
 
@@ -83,6 +84,8 @@ def checkpoint_metadata(trainer: MADDPGTrainer) -> Dict:
         "replay_size": len(trainer.replay),
         "replay_next_idx": trainer.replay.buffers[0].next_index,
         "replay_storage": trainer.replay.storage,
+        # the one RNG stream an update trajectory depends on
+        "rng_state": trainer.rng.bit_generator.state,
     }
 
 
@@ -134,7 +137,8 @@ def load_checkpoint(
     The trainer must be constructed with the same topology (algorithm,
     dims, twin critics); mismatches raise before any state is modified.
     Returns the checkpoint metadata.  ``strict_progress=False`` skips
-    restoring the step/round counters (useful for fine-tuning restarts).
+    restoring the step/round counters and the RNG stream (useful for
+    fine-tuning restarts).
     """
     with np.load(path) as data:
         meta = json.loads(bytes(data["__meta__"].tobytes()).decode())
@@ -173,6 +177,9 @@ def load_checkpoint(
             trainer.update_rounds = int(meta["update_rounds"])
             trainer.steps_since_update = int(meta["steps_since_update"])
             trainer.beta_schedule.step_count = int(meta["beta_step_count"])
+            if "rng_state" in meta:  # absent from older checkpoints
+                # in place: the agents share this generator object
+                trainer.rng.bit_generator.state = meta["rng_state"]
     return meta
 
 

@@ -55,12 +55,6 @@ class MARLConfig:
     # over shared memory (0 or 1 = the serial SyncVectorEnv engine,
     # preserving the bit-identity contract)
     env_workers: int = 0
-    # assemble the next update round's mini-batches on a background
-    # thread while the current round computes; uniform/cache-aware
-    # rounds are served prefetched batches, PER/info-prioritized rounds
-    # discard them via the priority-epoch guard (bit-identical to the
-    # non-prefetch run)
-    prefetch: bool = False
     # replay storage engine: "agent_major" (baseline N dense rings) or
     # "timestep_major" (one shared packed TransitionArena; bit-identical
     # training, O(m) joint gathers on the fast paths)

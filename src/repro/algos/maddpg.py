@@ -9,9 +9,8 @@ Q loss / P loss).  Every stage runs under the
 the paper's Figures 2/3/6 breakdowns directly.
 
 The sampling phase is delegated to a :class:`~repro.core.samplers.Sampler`
-(uniform baseline, cache-aware, PER, information-prioritized) or, when a
-:class:`~repro.core.layout.LayoutReorganizer` is attached, to the
-timestep-major O(m) gather — making the trainer the single harness on
+(uniform baseline, cache-aware, PER, information-prioritized) drawing
+from the trainer's replay — making the trainer the single harness on
 which all of the paper's optimizations are compared.
 """
 
@@ -24,8 +23,7 @@ import numpy as np
 from ..buffers import make_replay
 from ..core.batch import MiniBatch
 from ..core.importance import BetaSchedule
-from ..core.layout import LayoutReorganizer
-from ..core.samplers import PrioritizedSampler, Sampler, UniformSampler
+from ..core.samplers import Sampler, UniformSampler
 from ..nn import clip_grad_norm, mse_loss, weighted_mse_loss
 from ..nn.backend import get_backend
 from ..profiling.phases import (
@@ -65,10 +63,6 @@ class MADDPGTrainer:
     sampler:
         Mini-batch sampling strategy; default is the uniform baseline
         with the reference per-index gather loop.
-    use_layout:
-        Attach a :class:`LayoutReorganizer` and sample through the
-        timestep-major store (the §IV-B2 optimization).  Mutually
-        exclusive with prioritized samplers.
     seed:
         Seeds network init, exploration, and sampling.
     """
@@ -84,8 +78,6 @@ class MADDPGTrainer:
         act_dims: Sequence[int],
         config: Optional[MARLConfig] = None,
         sampler: Optional[Sampler] = None,
-        use_layout: bool = False,
-        layout_mode: str = "eager",
         seed: Optional[int] = None,
     ) -> None:
         if len(obs_dims) != len(act_dims) or not obs_dims:
@@ -101,22 +93,13 @@ class MADDPGTrainer:
         self.num_agents = len(obs_dims)
         self.joint_dim = sum(obs_dims) + sum(act_dims)
 
-        prioritized = self.sampler.requires_priorities
-        if use_layout and prioritized:
-            raise ValueError(
-                "layout reorganization and prioritized sampling are separate "
-                "optimizations in the paper; enable one at a time"
-            )
         self.replay = make_replay(
             self.config,
             obs_dims=obs_dims,
             act_dims=act_dims,
-            prioritized=prioritized,
+            prioritized=self.sampler.requires_priorities,
         )
         self.storage = self.replay.storage
-        self.layout: Optional[LayoutReorganizer] = (
-            LayoutReorganizer(self.replay, mode=layout_mode) if use_layout else None
-        )
         self.agents: List[ActorCriticAgent] = [
             ActorCriticAgent(
                 name=f"agent_{i}",
@@ -141,12 +124,6 @@ class MADDPGTrainer:
         self.steps_since_update = 0
         self.total_env_steps = 0
         self.update_rounds = 0
-        # execution-pipeline state: the prefetcher's epoch guard watches
-        # priority_epoch — bumped whenever the sampling distribution or
-        # stored priorities change (prioritized inserts, write-backs)
-        self.priority_epoch = 0
-        self._prefetcher = None
-        self._prefetched_round: Dict[int, MiniBatch] = {}
         # column offsets of each agent's action block inside the critic input
         self._obs_total = sum(obs_dims)
         self._act_offsets: List[int] = []
@@ -189,14 +166,8 @@ class MADDPGTrainer:
         done: Sequence[bool],
     ) -> None:
         """Store one joint transition and advance the update cadence."""
-        if self._prefetcher is not None:
-            self._prefetcher.wait_idle()
         with self.timer.phase(BUFFER_WRITE):
             self.replay.add(obs, act, rew, next_obs, done)
-            if self.layout is not None:
-                self.layout.notify_insert(obs, act, rew, next_obs, done)
-        if self.replay.prioritized:
-            self.priority_epoch += 1
         self.steps_since_update += 1
         self.total_env_steps += 1
 
@@ -216,23 +187,8 @@ class MADDPGTrainer:
         identical to K sequential :meth:`experience` calls without K
         Python-level buffer round-trips.  Returns K.
         """
-        if self._prefetcher is not None:
-            self._prefetcher.wait_idle()
         with self.timer.phase(BUFFER_WRITE):
             rows = self.replay.ingest((obs, act, rew, next_obs, done))
-            if self.layout is not None:
-                # the packed store ingests row-wise; K is small (one
-                # vector-env sweep), the replay write above is the hot part
-                for t in range(rows):
-                    self.layout.notify_insert(
-                        [o[t] for o in obs],
-                        [a[t] for a in act],
-                        [float(r[t]) for r in rew],
-                        [no[t] for no in next_obs],
-                        [bool(d[t]) for d in done],
-                    )
-        if self.replay.prioritized:
-            self.priority_epoch += 1
         self.steps_since_update += rows
         self.total_env_steps += rows
         return rows
@@ -248,17 +204,8 @@ class MADDPGTrainer:
         splitting.  Buffer contents and cadence counters end up identical
         to the equivalent :meth:`experience_batch` call.  Returns K.
         """
-        if self.layout is not None:
-            raise ValueError(
-                "experience_packed does not feed the layout reorganizer; "
-                "use experience_batch when a layout is attached"
-            )
-        if self._prefetcher is not None:
-            self._prefetcher.wait_idle()
         with self.timer.phase(BUFFER_WRITE):
             rows_written = self.replay.ingest(packed_rows=rows)
-        if self.replay.prioritized:
-            self.priority_epoch += 1
         self.steps_since_update += rows_written
         self.total_env_steps += rows_written
         return rows_written
@@ -268,7 +215,7 @@ class MADDPGTrainer:
 
         Every :class:`PhaseTimer` phase becomes a
         :class:`~repro.telemetry.records.SpanEvent` and every externally
-        measured duration (prefetch hit/stale accounting, worker waits)
+        measured duration (``env_step.worker_wait``)
         a :class:`~repro.telemetry.records.CounterSample` in
         ``recorder``'s sink.  Pass ``None`` (or a disabled recorder) to
         detach; the disabled path costs one attribute check per phase.
@@ -276,22 +223,6 @@ class MADDPGTrainer:
         self.telemetry = recorder if recorder is not None else NULL_RECORDER
         self.timer.attach_telemetry(recorder)
         self.replay.attach_telemetry(recorder)
-
-    def attach_prefetcher(self, prefetcher) -> None:
-        """Serve update rounds from a background :class:`PrefetchPipeline`.
-
-        The pipeline draws from its own RNG stream, so attaching it never
-        perturbs this trainer's stream; under PER/info-prioritized
-        sampling the epoch guard discards every assembled round, keeping
-        the training trajectory bit-identical to the non-prefetch run.
-        Pass ``None`` to detach.
-        """
-        if prefetcher is not None and self.layout is not None:
-            raise ValueError(
-                "prefetch is incompatible with layout-reorganized sampling "
-                "(the timestep-major gather shares the trainer's RNG stream)"
-            )
-        self._prefetcher = prefetcher
 
     def should_update(self) -> bool:
         """Paper cadence: update after every ``update_every`` samples, once
@@ -315,26 +246,11 @@ class MADDPGTrainer:
         if len(self.replay) < self.config.batch_size:
             return None
         policy_due = self._begin_round()
-        if self._prefetcher is not None:
-            # claim last round's background assembly (if still valid),
-            # then immediately schedule the next one so it overlaps this
-            # round's target-Q / loss compute
-            batches = self._prefetcher.take()
-            if batches is not None:
-                if self.config.shared_batch:
-                    self._shared_round_batch = batches[0]
-                else:
-                    self._prefetched_round = dict(enumerate(batches))
-            self._prefetcher.schedule()
         with self.timer.phase(UPDATE_ALL_TRAINERS):
             if self._engine is not None:
                 losses = self._engine.run_round(policy_due)
             else:
                 losses = self._scalar_round(policy_due)
-        if self.sampler.requires_priorities:
-            # the per-agent priority write-backs changed the sampling
-            # distribution: invalidate any in-flight prefetch assembly
-            self.priority_epoch += 1
         self.update_rounds += 1
         return losses
 
@@ -347,7 +263,6 @@ class MADDPGTrainer:
         self.sampler.set_beta(self.beta_schedule.step())
         self._shared_round_batch = None
         self._round_cache = {}
-        self._prefetched_round = {}
         return policy_due
 
     def _injected_round(
@@ -422,12 +337,6 @@ class MADDPGTrainer:
         return self._draw_batch(agent_idx)
 
     def _draw_batch(self, agent_idx: int) -> MiniBatch:
-        if self._prefetched_round:
-            batch = self._prefetched_round.pop(agent_idx, None)
-            if batch is not None:
-                return batch
-        if self.layout is not None:
-            return self.layout.sample_all_agents(self.rng, self.config.batch_size)
         return self.sampler.sample(
             self.replay, self.rng, self.config.batch_size, agent_idx=agent_idx
         )

@@ -9,7 +9,10 @@ env)`` and get exactly the paper's configuration:
 * ``cache_aware_n64_r16`` — locality-maximizing (Fig. 8/9/10)
 * ``per`` — PER-MADDPG / PER-MATD3 prioritization baseline (Fig. 11)
 * ``info_prioritized`` — the paper's §IV-B1 optimization (Fig. 11)
-* ``layout`` — transition-data layout reorganization (Fig. 14)
+* ``reuse_w<k>`` / ``accmer_w<k>`` — AccMER-style transition reuse
+
+The §IV-B2 layout reorganization is not a sampler: inside a trainer it
+is the replay storage engine (``MARLConfig(storage="timestep_major")``).
 """
 
 from __future__ import annotations
@@ -42,13 +45,10 @@ ALGORITHMS: Dict[str, Type[MADDPGTrainer]] = {
 #: Variant names accepted by :func:`build_trainer`.
 VARIANTS = (
     "baseline",
-    "baseline_vectorized",
     "cache_aware_n16_r64",
     "cache_aware_n64_r16",
     "per",
     "info_prioritized",
-    "layout",
-    "layout_lazy",
     "reuse_w4",
     "accmer_w4",
 )
@@ -60,8 +60,8 @@ def make_sampler(
     *,
     beta: float = 0.4,
     fast_path: bool = False,
-) -> Optional[Sampler]:
-    """Sampler for a variant name; None for layout variants (store-served).
+) -> Sampler:
+    """Sampler for a variant name.
 
     Option flags (``beta``, ``fast_path``) are keyword-only, so call
     sites always spell out which engine knob they are turning.
@@ -75,9 +75,7 @@ def make_sampler(
     configured engine.  The same sampler object serves both layouts.
     """
     if variant == "baseline":
-        return UniformSampler(vectorized=False, fast_path=fast_path)
-    if variant == "baseline_vectorized":
-        return UniformSampler(vectorized=True)
+        return UniformSampler(fast_path=fast_path)
     if variant.startswith("cache_aware_n"):
         body = variant[len("cache_aware_n"):]
         try:
@@ -114,8 +112,14 @@ def make_sampler(
                 f"bad reuse variant {variant!r}; expected {prefix}<window>"
             ) from None
         return ReuseWindowSampler(base_factory(), window=window)
-    if variant in ("layout", "layout_lazy"):
-        return None
+    if variant.startswith(("layout", "baseline_")):
+        # the retired spellings of the engine flags: they trained
+        # bit-identically to ``baseline`` on those flags
+        raise ValueError(
+            f"variant {variant!r} was removed; use --variant baseline --fast-path "
+            "[--storage timestep_major] (MARLConfig(fast_path=True, "
+            "storage='timestep_major'))"
+        )
     raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
 
 
@@ -146,13 +150,4 @@ def build_trainer(
         beta=config.per_beta0,
         fast_path=config.fast_path,
     )
-    use_layout = variant in ("layout", "layout_lazy")
-    return trainer_cls(
-        obs_dims,
-        act_dims,
-        config=config,
-        sampler=sampler,
-        use_layout=use_layout,
-        layout_mode="lazy" if variant == "layout_lazy" else "eager",
-        seed=seed,
-    )
+    return trainer_cls(obs_dims, act_dims, config=config, sampler=sampler, seed=seed)

@@ -13,8 +13,8 @@ reduced to argument parsing plus a call into this module::
 :func:`train` builds one env + trainer and hands them to one of two
 drivers, exactly like ``repro train``: ``episodes`` to the oracle loop
 (serial, the paper's characterized loop), ``steps`` to the step-driven
-default, whose topology (serial, prefetch overlap, sharded replay
-service + learner processes) the config names.  :func:`execute_run`
+default, whose topology (serial, sharded replay service + learner
+processes) the config names.  :func:`execute_run`
 is the sweep-child entry point: it materializes one
 :class:`~repro.sweep.spec.RunSpec` into a registry run directory.
 
@@ -93,7 +93,7 @@ def train(
     characterized loop; ``steps`` set runs that many vector steps over
     ``copies`` env copies through
     :func:`~repro.training.loop.train_steps`, whose topology (env
-    workers, prefetch, replay shards, learners) ``config`` names.
+    workers, replay shards, learners) ``config`` names.
     ``telemetry`` is a JSONL path or a
     :class:`~repro.telemetry.TelemetryRecorder`; passing a
     :class:`~repro.configio.ResolvedConfig` (or an explicit
@@ -130,7 +130,6 @@ def train(
                     f"training {algorithm}/{env_name}/{num_agents} agents "
                     f"({variant}) for {steps} vector steps x {copies} copies "
                     f"[{type(env).__name__}, workers={max(cfg.env_workers, 1)}, "
-                    f"prefetch={'on' if cfg.prefetch else 'off'}, "
                     f"shards={cfg.replay_shards}, learners={cfg.learners}, "
                     f"staleness={cfg.param_staleness}]"
                 )

@@ -158,154 +158,6 @@ def _smoke_geometry():
     return agents, obs_dims, act_dims
 
 
-def _run_sampling_fastpath() -> Dict[str, float]:
-    """Scalar vs vectorized sampling: speedups + draw equivalence."""
-    from .buffers import MultiAgentReplay
-    from .core import InformationPrioritizedSampler, UniformSampler
-    from .experiments.microbench import fill_replay, time_sampler_round
-
-    _, obs_dims, act_dims = _smoke_geometry()
-    rows, batch, rounds = 2048, 256, 3
-    replay = MultiAgentReplay(obs_dims, act_dims, capacity=rows)
-    fill_replay(replay, np.random.default_rng(0), rows)
-    preplay = MultiAgentReplay(obs_dims, act_dims, capacity=rows, prioritized=True)
-    fill_replay(preplay, np.random.default_rng(0), rows)
-    rng = np.random.default_rng(1)
-    for i in range(len(act_dims)):
-        preplay.priority_buffer(i).update_priorities(
-            range(rows), rng.uniform(0.01, 5.0, rows)
-        )
-    out: Dict[str, float] = {}
-    equivalent = 1.0
-    for key, factory, target in (
-        ("uniform", lambda f: UniformSampler(fast_path=f), replay),
-        ("info_prioritized", lambda f: InformationPrioritizedSampler(fast_path=f), preplay),
-    ):
-        slow = time_sampler_round(
-            factory(False), target, np.random.default_rng(2), batch, rounds=rounds
-        )
-        fast = time_sampler_round(
-            factory(True), target, np.random.default_rng(2), batch, rounds=rounds
-        )
-        out[f"{key}_speedup"] = slow.seconds / max(fast.seconds, 1e-12)
-        a = factory(False).sample(target, np.random.default_rng(3), batch)
-        b = factory(True).sample(target, np.random.default_rng(3), batch)
-        if not np.array_equal(a.indices, b.indices):
-            equivalent = 0.0
-    out["equivalent"] = equivalent
-    return out
-
-
-def _run_batched_update() -> Dict[str, float]:
-    """Per-agent loop vs stacked-agent engine: bit-identical params."""
-    from .algos.config import MARLConfig
-    from .algos.variants import build_trainer
-    from .experiments.microbench import fill_replay
-
-    _, obs_dims, act_dims = _smoke_geometry()
-    results = {}
-    for batched in (False, True):
-        config = MARLConfig(
-            batch_size=128, buffer_capacity=1024, update_every=50,
-            batched_update=batched,
-        )
-        trainer = build_trainer(
-            "maddpg", "baseline", obs_dims, act_dims, config=config, seed=0
-        )
-        fill_replay(trainer.replay, np.random.default_rng(0), 512)
-        start = time.perf_counter()
-        for _ in range(3):
-            trainer.update(force=True)
-        results[batched] = (time.perf_counter() - start, trainer)
-    loop_s, loop_tr = results[False]
-    fast_s, fast_tr = results[True]
-    # the engine contract (tests/test_batched_update.py) is numerical
-    # equivalence at rtol=1e-10/atol=1e-12, not bitwise identity
-    equivalent = 1.0
-    for a, b in zip(loop_tr.agents, fast_tr.agents):
-        for pa, pb in zip(a.actor.parameters(), b.actor.parameters()):
-            if not np.allclose(pa.value, pb.value, rtol=1e-10, atol=1e-12):
-                equivalent = 0.0
-    return {
-        "bit_identical": equivalent,
-        "batched_speedup": loop_s / max(fast_s, 1e-12),
-    }
-
-
-def _run_storage_arena() -> Dict[str, float]:
-    """Agent-major vs timestep-major gather: equivalence + speedup."""
-    from .buffers import MultiAgentReplay
-    from .experiments.microbench import fill_replay
-
-    _, obs_dims, act_dims = _smoke_geometry()
-    rows, batch, rounds = 2048, 256, 5
-    replays = {}
-    for storage in ("agent_major", "timestep_major"):
-        replay = MultiAgentReplay(obs_dims, act_dims, capacity=rows, storage=storage)
-        fill_replay(replay, np.random.default_rng(0), rows)
-        replays[storage] = replay
-    indices = np.random.default_rng(1).integers(0, rows, size=batch)
-    timings = {}
-    for storage, replay in replays.items():
-        start = time.perf_counter()
-        for _ in range(rounds):
-            replay.gather(indices, vectorized=True)
-        timings[storage] = time.perf_counter() - start
-    base = replays["agent_major"].gather(indices, vectorized=True)
-    arena = replays["timestep_major"].gather(indices, vectorized=True)
-    equivalent = 1.0
-    for fields_a, fields_b in zip(base, arena):
-        for col_a, col_b in zip(fields_a, fields_b):
-            if not np.array_equal(col_a, col_b):
-                equivalent = 0.0
-    return {
-        "equivalent": equivalent,
-        "gather_speedup": timings["agent_major"] / max(timings["timestep_major"], 1e-12),
-    }
-
-
-def _run_replay_ingest() -> Dict[str, float]:
-    """Unified ingest: batch vs packed rows land identical contents."""
-    from .buffers import make_replay
-    from .buffers.transition import JointSchema
-
-    _, obs_dims, act_dims = _smoke_geometry()
-    rows = 1024
-    schema = JointSchema.from_dims(obs_dims, act_dims)
-    rng = np.random.default_rng(0)
-    packed = rng.standard_normal((rows, schema.width))
-    obs, act, rew, next_obs, done = [], [], [], [], []
-    for a, (start, _end) in enumerate(schema.agent_offsets()):
-        s = schema.agents[a].slices()
-        obs.append(packed[:, start + s["obs"].start : start + s["obs"].stop])
-        act.append(packed[:, start + s["act"].start : start + s["act"].stop])
-        rew.append(packed[:, start + s["rew"].start])
-        next_obs.append(
-            packed[:, start + s["next_obs"].start : start + s["next_obs"].stop]
-        )
-        done.append(packed[:, start + s["done"].start])
-    via_batch = make_replay(
-        obs_dims=obs_dims, act_dims=act_dims, capacity=rows, storage="timestep_major"
-    )
-    start = time.perf_counter()
-    via_batch.ingest((obs, act, rew, next_obs, done))
-    batch_s = time.perf_counter() - start
-    via_packed = make_replay(
-        obs_dims=obs_dims, act_dims=act_dims, capacity=rows, storage="timestep_major"
-    )
-    start = time.perf_counter()
-    via_packed.ingest(packed_rows=packed)
-    packed_s = time.perf_counter() - start
-    equivalent = float(
-        np.array_equal(via_batch.arena.values, via_packed.arena.values)
-    )
-    return {
-        "packed_equivalent": equivalent,
-        "packed_speedup": batch_s / max(packed_s, 1e-12),
-        "ingest_rows_per_second": rows / max(packed_s, 1e-12),
-    }
-
-
 def _warmup_compiled_backend() -> None:
     """JIT-compile every kernel before the timed section (numpy: no-op)."""
     from .nn.backend import warmup_kernels
@@ -579,18 +431,13 @@ def _gate_eq(name: str) -> MetricSpec:
     return MetricSpec(name, unit="bool", direction="higher", tolerance=0.0, gate=True)
 
 
-def _gate_ratio(name: str, tolerance: float = 0.8) -> MetricSpec:
-    """Timing ratio: gated, but with host-noise headroom."""
-    return MetricSpec(name, unit="x", direction="higher", tolerance=tolerance, gate=True)
-
-
 def _free(name: str, unit: str = "", direction: str = "higher") -> MetricSpec:
     return MetricSpec(name, unit=unit, direction=direction, gate=False)
 
 
 def _script_spec(file: str, description: str, budget: float = 120.0) -> BenchSpec:
     # "cli_" prefix keeps script specs distinct from the inline smoke
-    # runners that cover the same subsystem (e.g. batched_update)
+    # runners that cover the same subsystem (e.g. compiled_backend)
     name = "cli_" + file[len("bench_"):-len(".py")]
     return BenchSpec(
         name=name,
@@ -619,50 +466,6 @@ def _pytest_spec(file: str, description: str, budget: float = 600.0) -> BenchSpe
 
 REGISTRY: Tuple[BenchSpec, ...] = (
     # -- inline smoke runners (suite: smoke) -------------------------------
-    BenchSpec(
-        name="sampling_fastpath",
-        suite="smoke",
-        kind="inline",
-        description="scalar vs vectorized sampling engines: speedup + identical draws",
-        budget_seconds=20.0,
-        runner=_run_sampling_fastpath,
-        metrics=(
-            _gate_eq("equivalent"),
-            _gate_ratio("info_prioritized_speedup"),
-            _free("uniform_speedup", "x"),
-        ),
-    ),
-    BenchSpec(
-        name="batched_update",
-        suite="smoke",
-        kind="inline",
-        description="per-agent loop vs stacked-agent update engine: bit-identical params",
-        budget_seconds=30.0,
-        runner=_run_batched_update,
-        metrics=(_gate_eq("bit_identical"), _free("batched_speedup", "x")),
-    ),
-    BenchSpec(
-        name="storage_arena",
-        suite="smoke",
-        kind="inline",
-        description="agent-major vs timestep-major joint gather: equivalence + speedup",
-        budget_seconds=20.0,
-        runner=_run_storage_arena,
-        metrics=(_gate_eq("equivalent"), _free("gather_speedup", "x")),
-    ),
-    BenchSpec(
-        name="replay_ingest",
-        suite="smoke",
-        kind="inline",
-        description="unified ingest(): per-agent batch vs packed rows, identical arena",
-        budget_seconds=10.0,
-        runner=_run_replay_ingest,
-        metrics=(
-            _gate_eq("packed_equivalent"),
-            _free("packed_speedup", "x"),
-            _free("ingest_rows_per_second", "rows/s"),
-        ),
-    ),
     BenchSpec(
         name="compiled_backend",
         suite="smoke",
@@ -739,7 +542,7 @@ REGISTRY: Tuple[BenchSpec, ...] = (
     _script_spec("bench_fastpath_sampling.py", "fast-path sampling exhibit, smoke geometry"),
     _script_spec("bench_batched_update.py", "stacked-agent update exhibit, smoke geometry"),
     _script_spec("bench_storage_arena.py", "storage engine exhibit, smoke geometry"),
-    _script_spec("bench_pipeline_overlap.py", "actor-learner overlap exhibit, smoke geometry"),
+    _script_spec("bench_pipeline_overlap.py", "parallel rollout collector exhibit, smoke geometry"),
     _script_spec("bench_compiled_backend.py", "compiled backend exhibit, smoke geometry"),
     _script_spec("bench_replay_service.py", "sharded replay service exhibit, smoke geometry"),
     _script_spec("bench_serving.py", "micro-batched serving exhibit, smoke geometry"),

@@ -100,32 +100,6 @@ class TransitionArena:
 
     # -- writes ---------------------------------------------------------------
 
-    def append_joint(
-        self,
-        obs: Sequence[np.ndarray],
-        act: Sequence[np.ndarray],
-        rew: Sequence[float],
-        next_obs: Sequence[np.ndarray],
-        done: Sequence[bool],
-    ) -> int:
-        """Append one timestep of all agents' transitions."""
-        n = self.num_agents
-        if not (len(obs) == len(act) == len(rew) == len(next_obs) == len(done) == n):
-            raise ValueError(f"append_joint expects {n} entries per field")
-        row = self._values[self._next_idx]
-        for agent_idx, (start, end) in enumerate(self.schema.agent_offsets()):
-            packed = self.schema.agents[agent_idx].pack(
-                obs[agent_idx],
-                act[agent_idx],
-                float(rew[agent_idx]),
-                next_obs[agent_idx],
-                bool(done[agent_idx]),
-            )
-            row[start:end] = packed
-        idx = self._next_idx
-        self.advance(1)
-        return idx
-
     def advance(self, steps: int) -> None:
         """Move the ring cursor past ``steps`` rows written through views.
 

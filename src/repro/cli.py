@@ -37,7 +37,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .algos.variants import VARIANTS, build_trainer
+from .algos.variants import VARIANTS, build_trainer, make_sampler
 from .configio import resolve_config
 from .envs.registry import available_envs, make
 from .experiments.microbench import fill_replay, time_sampler_round
@@ -116,6 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--update-every", type=int, default=None, dest="update_every"
     )
     train.add_argument("--seed", type=int, default=0)
+    train.set_defaults(usage_error=train.error)
     _add_config_flags(train)
     train.add_argument(
         "--steps",
@@ -137,15 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
         dest="env_workers",
         help="rollout worker processes stepping env copies over shared memory; "
         "0/1 = serial in-process engine (default; REPRO_ENV_WORKERS overrides)",
-    )
-    train.add_argument(
-        "--prefetch",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="assemble the next round's mini-batches on a background thread "
-        "while the current round computes (--no-prefetch restores the "
-        "bit-identical serial schedule; PER rounds auto-discard via the "
-        "priority-epoch guard either way)",
     )
     train.add_argument(
         "--replay-shards",
@@ -193,6 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--batch-size", type=int, default=None, dest="batch_size")
     profile.add_argument("--rounds", type=int, default=3)
     profile.add_argument("--seed", type=int, default=0)
+    profile.set_defaults(usage_error=profile.error)
     _add_config_flags(profile)
 
     sample = sub.add_parser("sample", help="sampling-strategy microbenchmark")
@@ -381,7 +374,6 @@ _CONFIG_DESTS = (
     "storage",
     "backend",
     "env_workers",
-    "prefetch",
     "replay_shards",
     "learners",
     "param_staleness",
@@ -395,6 +387,20 @@ def _cli_overrides(args) -> Dict[str, object]:
         for name in _CONFIG_DESTS
         if getattr(args, name, None) is not None
     }
+
+
+def _check_cell(args, batch_size: int) -> None:
+    """Exit with a usage message, not a traceback, on an ``--env`` or
+    ``--variant`` the registries reject (``make_sampler`` also checks the
+    variant's geometry against ``batch_size``)."""
+    if args.env not in available_envs():
+        args.usage_error(
+            f"unknown environment {args.env!r}; available: {available_envs()}"
+        )
+    try:
+        make_sampler(args.variant, batch_size)
+    except ValueError as exc:
+        args.usage_error(str(exc))
 
 
 def _print_end_to_end(result) -> None:
@@ -423,6 +429,7 @@ def _cmd_train(args) -> int:
             "update_every": 25,
         },
     )
+    _check_cell(args, resolved.config.batch_size)
     result = api.train(
         resolved,
         algorithm=args.algorithm,
@@ -451,14 +458,6 @@ def _cmd_train(args) -> int:
                 else ""
             )
         )
-        if "prefetch_hits" in result.extra:
-            print(
-                f"prefetch: {result.extra['prefetch_hits']:.0f} hits / "
-                f"{result.extra['prefetch_misses']:.0f} misses / "
-                f"{result.extra['prefetch_stale']:.0f} stale, "
-                f"overlap fraction {result.extra['overlap_fraction']:.2f} "
-                f"({result.extra['hidden_sampling_seconds'] * 1e3:.1f}ms sampling hidden)"
-            )
         if service:
             print(
                 f"service: {result.extra['learner_rounds']:.0f} learner rounds, "
@@ -502,6 +501,7 @@ def _cmd_profile(args) -> int:
         config = config.scaled(
             buffer_capacity=max(4 * config.batch_size, 4096)
         )
+    _check_cell(args, config.batch_size)
     env = make(args.env, num_agents=args.agents, seed=args.seed)
     trainer = build_trainer(
         args.algorithm, args.variant, env.obs_dims, env.act_dims,

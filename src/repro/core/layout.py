@@ -6,17 +6,15 @@ agent-major :class:`~repro.buffers.multi_agent.MultiAgentReplay`, and
 serves whole-round mini-batches for *all* agents with a single O(m) row
 gather instead of the baseline's O(N*m) scattered loops.
 
-Two synchronization modes reflect the cost structure of Figure 14:
+The packed store is rebuilt from the agent-major buffers right before
+sampling whenever stale — the bulk reshaping cost of Figure 14, charged
+to ``reshape_floats``/``reshape_seconds``.  The paper reports both
+views: sampling including reshaping (a slowdown at 3-6 agents, +25.8% at
+24) and inter-agent sampling alone (1.36x-9.55x speedups), which the
+accessors here expose separately.
 
-* ``mode="eager"`` — every joint insert is mirrored into the packed
-  store immediately (steady per-step cost, no bulk reshaping).
-* ``mode="lazy"`` — the packed store is rebuilt from the agent-major
-  buffers right before sampling whenever stale (bulk reshaping cost,
-  charged to ``reshape_floats``/``reshape_seconds``).
-
-The paper reports both views: sampling including reshaping (a slowdown
-at 3-6 agents, +25.8% at 24) and inter-agent sampling alone (1.36x-9.55x
-speedups), which the accessors here expose separately.
+This is the replay-level mirror the Figure-14 exhibits measure.  Inside
+a trainer the same layout is the ``timestep_major`` storage engine.
 
 When the replay already runs on the ``timestep_major`` storage engine
 (``replay.arena`` is set), there is nothing to reorganize: the
@@ -28,7 +26,7 @@ arena, it is never stale, and reshaping costs stay at zero.
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
 import numpy as np
 
@@ -39,26 +37,16 @@ from .indices import uniform_indices
 
 __all__ = ["LayoutReorganizer"]
 
-_MODES = ("eager", "lazy")
-
 
 class LayoutReorganizer:
     """Keep a timestep-major packed mirror of an agent-major replay."""
 
-    def __init__(
-        self,
-        replay: MultiAgentReplay,
-        mode: str = "lazy",
-        ingest: str = "block",
-    ) -> None:
-        if mode not in _MODES:
-            raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
+    def __init__(self, replay: MultiAgentReplay, ingest: str = "block") -> None:
         if ingest not in ("block", "rowwise"):
             raise ValueError(
                 f"ingest must be 'block' or 'rowwise', got {ingest!r}"
             )
         self.replay = replay
-        self.mode = mode
         self.ingest_mode = ingest
         # Shared-arena mode: a timestep-major replay already holds the
         # packed layout, so adapt over its arena instead of mirroring.
@@ -83,23 +71,6 @@ class LayoutReorganizer:
             self.replay
         )
 
-    def notify_insert(
-        self,
-        obs: Sequence[np.ndarray],
-        act: Sequence[np.ndarray],
-        rew: Sequence[float],
-        next_obs: Sequence[np.ndarray],
-        done: Sequence[bool],
-    ) -> None:
-        """Mirror a joint insert (eager mode); no-op when lazy or shared."""
-        if self.mode != "eager" or self.shared_arena:
-            return
-        start = time.perf_counter()
-        self.store.append_joint(obs, act, rew, next_obs, done)
-        self.reshape_seconds += time.perf_counter() - start
-        self.reshape_floats += self.store.schema.width
-        self._synced_through = len(self.replay)
-
     def reorganize(self) -> int:
         """Bulk-rebuild the packed store from the agent-major buffers.
 
@@ -122,7 +93,7 @@ class LayoutReorganizer:
         return moved
 
     def ensure_synced(self) -> None:
-        """Reorganize if needed (lazy mode's pre-sampling hook)."""
+        """Reorganize if needed (the pre-sampling hook)."""
         if self.stale:
             self.reorganize()
 

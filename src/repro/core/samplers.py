@@ -140,20 +140,13 @@ class UniformSampler(Sampler):
 
     ``fast_path=False`` (default) keeps the reference implementation's
     per-index gather loop — the measured bottleneck; ``fast_path=True``
-    gathers with one fancy-index read per agent.  ``vectorized`` is the
-    historical spelling of the same flag, kept as an alias.
+    gathers with one fancy-index read per agent.
     """
 
     name = "uniform"
 
-    def __init__(
-        self, vectorized: bool = False, fast_path: Optional[bool] = None
-    ) -> None:
-        self.fast_path = bool(vectorized if fast_path is None else fast_path)
-
-    @property
-    def vectorized(self) -> bool:
-        return self.fast_path
+    def __init__(self, fast_path: bool = False) -> None:
+        self.fast_path = bool(fast_path)
 
     def sample(self, replay, rng, batch_size=PAPER_BATCH_SIZE, agent_idx=0) -> MiniBatch:
         self._check(replay, batch_size)

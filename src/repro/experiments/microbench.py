@@ -108,8 +108,8 @@ def time_layout_round(
     ``include_reshape=True`` charges the ingest/reshaping cost (the
     Figure-14 headline view); False isolates the inter-agent sampling
     speedup (the §VI-C2 1.36x-9.55x view).  The store is marked stale
-    once per round in lazy mode so each round pays one reorganization,
-    mirroring a training loop that inserted between update rounds.
+    once per round so each round pays one reorganization, mirroring a
+    training loop that inserted between update rounds.
     """
     trainers = (
         num_trainers if num_trainers is not None else layout.replay.num_agents
@@ -119,8 +119,7 @@ def time_layout_round(
     reshape_before = layout.reshape_seconds
     start = time.perf_counter()
     for _ in range(rounds):
-        if layout.mode == "lazy":
-            layout._synced_through = -1  # force one reorganization per round
+        layout._synced_through = -1  # force one reorganization per round
         for _ in range(trainers):
             layout.sample_all_agents(rng, batch_size)
     elapsed = time.perf_counter() - start

@@ -98,13 +98,13 @@ def generate_report(
         replay = _make_replay(env_name, n, rows, seed=seed)
         base = time_sampler_round(UniformSampler(), replay, rng, batch_size)
         incl = time_layout_round(
-            LayoutReorganizer(replay, mode="lazy", ingest="rowwise"),
+            LayoutReorganizer(replay, ingest="rowwise"),
             rng,
             batch_size,
             include_reshape=True,
         )
         excl = time_layout_round(
-            LayoutReorganizer(replay, mode="lazy"),
+            LayoutReorganizer(replay),
             rng,
             batch_size,
             include_reshape=False,

@@ -41,8 +41,6 @@ def build_workload(spec: WorkloadSpec):
         from .microbench import fill_replay
 
         fill_replay(trainer.replay, np.random.default_rng(seeds.sampler), spec.prefill_rows)
-        if trainer.layout is not None:
-            trainer.layout.ensure_synced()
     return env, trainer
 
 

@@ -115,7 +115,7 @@ def measure_sampling_scaling(
         for _ in range(repetitions):
             if layout:
                 timing = time_layout_round(
-                    LayoutReorganizer(replay, mode="lazy"),
+                    LayoutReorganizer(replay),
                     rng,
                     batch_size,
                     rounds=rounds,

@@ -16,10 +16,8 @@ from .backend import (
     resolve_backend,
 )
 from .functional import (
-    epsilon_greedy,
     gumbel_noise,
     gumbel_softmax,
-    gumbel_softmax_backward,
     one_hot,
     softmax,
     softmax_temperature,
@@ -33,10 +31,7 @@ from .init import (
     xavier_uniform,
 )
 from .layers import (
-    Concat,
-    Dropout,
     Identity,
-    LayerNorm,
     LeakyReLU,
     Linear,
     ReLU,
@@ -45,10 +40,10 @@ from .layers import (
     Softmax,
     Tanh,
 )
-from .losses import huber_loss, mse_loss, weighted_mse_loss
+from .losses import mse_loss, weighted_mse_loss
 from .mlp import PAPER_HIDDEN_UNITS, actor_mlp, critic_mlp, mlp
 from .module import Module, Parameter
-from .optim import SGD, Adam, Optimizer, clip_grad_norm
+from .optim import Adam, Optimizer, clip_grad_norm
 from .stacked import (
     StackedLinear,
     clip_grad_norm_stacked,
@@ -56,7 +51,6 @@ from .stacked import (
     single_forward,
     stack_adam_states,
     stack_sequentials,
-    stacked_mlp,
 )
 
 __all__ = [
@@ -75,24 +69,18 @@ __all__ = [
     "Sigmoid",
     "Softmax",
     "Identity",
-    "LayerNorm",
-    "Dropout",
     "Sequential",
-    "Concat",
     "mlp",
     "actor_mlp",
     "critic_mlp",
     "PAPER_HIDDEN_UNITS",
     "mse_loss",
     "weighted_mse_loss",
-    "huber_loss",
     "Optimizer",
-    "SGD",
     "Adam",
     "clip_grad_norm",
     "StackedLinear",
     "single_forward",
-    "stacked_mlp",
     "stack_sequentials",
     "clip_grad_norm_stacked",
     "stack_adam_states",
@@ -102,8 +90,6 @@ __all__ = [
     "softmax_temperature",
     "gumbel_noise",
     "gumbel_softmax",
-    "gumbel_softmax_backward",
-    "epsilon_greedy",
     "xavier_uniform",
     "xavier_normal",
     "he_uniform",

@@ -18,8 +18,6 @@ __all__ = [
     "softmax_temperature",
     "gumbel_noise",
     "gumbel_softmax",
-    "gumbel_softmax_backward",
-    "epsilon_greedy",
 ]
 
 
@@ -93,29 +91,3 @@ def gumbel_softmax(
         return soft
     idx = soft.argmax(axis=-1)
     return one_hot(idx, soft.shape[-1])
-
-
-def gumbel_softmax_backward(soft: np.ndarray, grad_out: np.ndarray, temperature: float = 1.0) -> np.ndarray:
-    """Gradient of the soft Gumbel-Softmax sample w.r.t. the logits.
-
-    Uses the softmax Jacobian at the *sampled* probabilities; for the
-    straight-through (hard) estimator, callers pass the soft sample stored
-    during the forward pass.
-    """
-    dot = (grad_out * soft).sum(axis=-1, keepdims=True)
-    return soft * (grad_out - dot) / temperature
-
-
-def epsilon_greedy(
-    rng: np.random.Generator,
-    greedy_actions: np.ndarray,
-    num_actions: int,
-    epsilon: float,
-) -> np.ndarray:
-    """Replace each greedy action with a uniform action w.p. ``epsilon``."""
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
-    greedy_actions = np.asarray(greedy_actions, dtype=np.int64)
-    explore = rng.random(greedy_actions.shape) < epsilon
-    random_actions = rng.integers(0, num_actions, size=greedy_actions.shape)
-    return np.where(explore, random_actions, greedy_actions)

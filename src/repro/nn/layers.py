@@ -8,7 +8,7 @@ update).  ``Sequential`` composes layers and runs backward in reverse.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -23,10 +23,7 @@ __all__ = [
     "Softmax",
     "LeakyReLU",
     "Identity",
-    "LayerNorm",
-    "Dropout",
     "Sequential",
-    "Concat",
 ]
 
 
@@ -180,81 +177,6 @@ class Softmax(Module):
         return s * (grad_out - dot)
 
 
-class LayerNorm(Module):
-    """Per-row layer normalization with learnable affine parameters.
-
-    Not used by the paper's configuration (two-layer plain ReLU MLPs)
-    but a standard stabilizer for larger MARL settings; included for
-    architecture ablations.
-    """
-
-    def __init__(self, dim: int, eps: float = 1e-5) -> None:
-        super().__init__()
-        if dim <= 0:
-            raise ValueError(f"LayerNorm dim must be positive, got {dim}")
-        if eps <= 0:
-            raise ValueError(f"eps must be positive, got {eps}")
-        self.dim = dim
-        self.eps = eps
-        self.gamma = Parameter(np.ones(dim), "gamma")
-        self.beta = Parameter(np.zeros(dim), "beta")
-        self._cache = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape[-1] != self.dim:
-            raise ValueError(f"LayerNorm expected dim {self.dim}, got {x.shape[-1]}")
-        mean = x.mean(axis=-1, keepdims=True)
-        var = x.var(axis=-1, keepdims=True)
-        inv_std = 1.0 / np.sqrt(var + self.eps)
-        x_hat = (x - mean) * inv_std
-        self._cache = (x_hat, inv_std)
-        return self.gamma.value * x_hat + self.beta.value
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("backward called before forward on LayerNorm")
-        x_hat, inv_std = self._cache
-        self.gamma.grad += (grad_out * x_hat).sum(axis=0)
-        self.beta.grad += grad_out.sum(axis=0)
-        g = grad_out * self.gamma.value
-        n = self.dim
-        # d/dx of (x - mean) / std, vectorized over rows
-        term1 = g
-        term2 = g.mean(axis=-1, keepdims=True)
-        term3 = x_hat * (g * x_hat).mean(axis=-1, keepdims=True)
-        return (term1 - term2 - term3) * inv_std
-
-
-class Dropout(Module):
-    """Inverted dropout; identity in eval mode.
-
-    The mask is drawn from the generator supplied at construction so
-    training remains reproducible end to end.
-    """
-
-    def __init__(self, p: float = 0.5, rng: Optional[np.random.Generator] = None) -> None:
-        super().__init__()
-        if not 0.0 <= p < 1.0:
-            raise ValueError(f"dropout p must be in [0, 1), got {p}")
-        self.p = p
-        self.rng = rng if rng is not None else np.random.default_rng()
-        self._mask: Optional[np.ndarray] = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        if not self.training or self.p == 0.0:
-            self._mask = None
-            return np.asarray(x, dtype=np.float64)
-        keep = 1.0 - self.p
-        self._mask = (self.rng.random(np.shape(x)) < keep) / keep
-        return x * self._mask
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            return grad_out
-        return grad_out * self._mask
-
-
 class Identity(Module):
     """No-op layer, useful as a configurable head placeholder."""
 
@@ -294,43 +216,3 @@ class Sequential(Module):
 
     def __getitem__(self, idx: int) -> Module:
         return self.layers[idx]
-
-
-class Concat:
-    """Helper that concatenates named input blocks and splits gradients back.
-
-    Centralized critics consume the *joint* observation-action vector of
-    all agents (paper §II-A); this helper records the block widths on the
-    way in so the critic's input gradient can be routed back to the agent
-    that produced each block (needed for the policy-gradient path where
-    only agent i's action is differentiable).
-    """
-
-    def __init__(self) -> None:
-        self._widths: List[int] = []
-
-    def forward(self, blocks: Sequence[np.ndarray]) -> np.ndarray:
-        if not blocks:
-            raise ValueError("Concat.forward requires at least one block")
-        arrays = [np.atleast_2d(np.asarray(b, dtype=np.float64)) for b in blocks]
-        rows = arrays[0].shape[0]
-        for a in arrays:
-            if a.shape[0] != rows:
-                raise ValueError("Concat blocks must share the batch dimension")
-        self._widths = [a.shape[1] for a in arrays]
-        return np.concatenate(arrays, axis=1)
-
-    def split(self, grad: np.ndarray) -> List[np.ndarray]:
-        """Split an upstream gradient back into per-block gradients."""
-        if not self._widths:
-            raise RuntimeError("Concat.split called before forward")
-        out: List[np.ndarray] = []
-        offset = 0
-        for w in self._widths:
-            out.append(grad[:, offset : offset + w])
-            offset += w
-        if offset != grad.shape[1]:
-            raise ValueError(
-                f"gradient width {grad.shape[1]} does not match concat width {offset}"
-            )
-        return out

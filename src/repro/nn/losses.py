@@ -8,11 +8,11 @@ MSE is provided as a first-class loss.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
-__all__ = ["mse_loss", "weighted_mse_loss", "huber_loss"]
+__all__ = ["mse_loss", "weighted_mse_loss"]
 
 
 def _validate(pred: np.ndarray, target: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -59,32 +59,3 @@ def weighted_mse_loss(
     loss = float(np.mean(weights * diff**2))
     grad = (2.0 / diff.size) * weights * diff
     return loss, grad
-
-
-def huber_loss(
-    pred: np.ndarray,
-    target: np.ndarray,
-    delta: float = 1.0,
-    weights: Optional[np.ndarray] = None,
-) -> Tuple[float, np.ndarray]:
-    """Huber (smooth-L1) loss, optionally importance-weighted.
-
-    Not used by the paper's headline configuration but provided for
-    robustness ablations of the critic objective.
-    """
-    if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    pred, target = _validate(pred, target)
-    diff = pred - target
-    abs_diff = np.abs(diff)
-    quadratic = abs_diff <= delta
-    per_sample = np.where(
-        quadratic, 0.5 * diff**2, delta * (abs_diff - 0.5 * delta)
-    )
-    grad = np.where(quadratic, diff, delta * np.sign(diff))
-    if weights is not None:
-        weights = np.asarray(weights, dtype=np.float64).reshape(pred.shape)
-        per_sample = per_sample * weights
-        grad = grad * weights
-    loss = float(np.mean(per_sample))
-    return loss, grad / diff.size

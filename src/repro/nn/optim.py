@@ -1,21 +1,19 @@
 """Optimizers for the numpy NN substrate.
 
 Paper §V: "In all of our experiments, we use Adam optimizer with a
-learning rate of 0.01."  Adam is therefore the default throughout the
-reproduction; SGD (with optional momentum) is kept for ablations and for
-gradient-check tests where its one-step behaviour is easiest to reason
-about.
+learning rate of 0.01."  Adam is therefore the optimizer throughout the
+reproduction.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
 from .module import Parameter
 
-__all__ = ["Optimizer", "SGD", "Adam", "clip_grad_norm"]
+__all__ = ["Optimizer", "Adam", "clip_grad_norm"]
 
 
 def clip_grad_norm(params: Sequence[Parameter], max_norm: float) -> float:
@@ -54,34 +52,6 @@ class Optimizer:
 
     def step(self) -> None:
         raise NotImplementedError
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional classical momentum."""
-
-    def __init__(
-        self,
-        params: Sequence[Parameter],
-        lr: float = 0.01,
-        momentum: float = 0.0,
-    ) -> None:
-        super().__init__(params, lr)
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {momentum}")
-        self.momentum = momentum
-        self._velocity: Optional[List[np.ndarray]] = None
-        if momentum > 0.0:
-            self._velocity = [np.zeros_like(p.value) for p in self.params]
-
-    def step(self) -> None:
-        if self._velocity is None:
-            for p in self.params:
-                p.value -= self.lr * p.grad
-        else:
-            for p, v in zip(self.params, self._velocity):
-                v *= self.momentum
-                v += p.grad
-                p.value -= self.lr * v
 
 
 class Adam(Optimizer):

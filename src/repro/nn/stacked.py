@@ -42,7 +42,6 @@ from .optim import Adam
 
 __all__ = [
     "StackedLinear",
-    "stacked_mlp",
     "stack_sequentials",
     "single_forward",
     "clip_grad_norm_stacked",
@@ -254,23 +253,6 @@ class StackedLinear(Module):
             bg += grad_out.sum(axis=1)
 
 
-def stacked_mlp(
-    num_stacks: int,
-    in_dim: int,
-    out_dim: int,
-    hidden: Tuple[int, ...] = (64, 64),
-    rng: Optional[np.random.Generator] = None,
-) -> Sequential:
-    """S independent copies of the paper's ReLU MLP as stacked layers."""
-    dims = [in_dim, *hidden, out_dim]
-    layers: List[Module] = []
-    for i in range(len(dims) - 1):
-        layers.append(StackedLinear(num_stacks, dims[i], dims[i + 1], rng=rng))
-        if i < len(dims) - 2:
-            layers.append(ReLU())
-    return Sequential(*layers)
-
-
 def stack_sequentials(nets: Sequence[Sequential]) -> Sequential:
     """Fuse structurally identical Sequentials into one stacked network.
 
@@ -278,7 +260,7 @@ def stack_sequentials(nets: Sequence[Sequential]) -> Sequential:
     views, see :meth:`StackedLinear.from_layers`); elementwise/last-axis
     activations are shared as fresh instances since they already operate
     slice-wise on ``(S, B, F)`` arrays.  Raises for layer types whose
-    semantics would change under stacking (LayerNorm, Dropout, ...).
+    semantics would change under stacking.
     """
     if not nets:
         raise ValueError("stack_sequentials needs at least one network")

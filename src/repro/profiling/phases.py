@@ -8,21 +8,11 @@ The names mirror the paper's decomposition:
 * Figure 3 splits *update all trainers* into *mini-batch sampling*,
   *target Q calculation*, and *Q loss + P loss* (network updates).
 
-The execution pipeline (overlapped actor-learner schedule) adds phases
-that make the overlap observable:
+The parallel collector adds one phase that makes its waiting observable:
 
 * ``env_step.worker_wait`` — time the main thread spends blocked on the
   parallel rollout workers inside the environment-step phase; the rest
   of ``env_step`` is IPC plus result assembly.
-* ``prefetch`` — wall time the background thread spends assembling the
-  next round's mini-batches (hidden behind other phases when the
-  pipeline overlaps well).
-* ``prefetch.hit`` / ``prefetch.miss`` / ``prefetch.stale`` — per-round
-  outcome counters: a *hit* served the round from the prefetched
-  batches (the accumulated seconds are the assembly time that was
-  hidden), a *miss* found nothing assembled, and a *stale* discarded an
-  assembled round because priorities or ring contents changed
-  underneath it (the PER epoch guard).
 """
 
 from __future__ import annotations
@@ -38,10 +28,6 @@ __all__ = [
     "TARGET_Q",
     "LOSS_UPDATE",
     "WORKER_WAIT",
-    "PREFETCH",
-    "PREFETCH_HIT",
-    "PREFETCH_MISS",
-    "PREFETCH_STALE",
     "SERVICE_PUSH",
     "SERVICE_PULL",
     "PARAM_REFRESH",
@@ -66,11 +52,6 @@ LOSS_UPDATE = "loss_update"
 
 #: sub-phase of env_step: main thread blocked on parallel rollout workers
 WORKER_WAIT = f"{ENV_STEP}.worker_wait"
-#: background mini-batch assembly (runs on the prefetch thread)
-PREFETCH = "prefetch"
-PREFETCH_HIT = f"{PREFETCH}.hit"
-PREFETCH_MISS = f"{PREFETCH}.miss"
-PREFETCH_STALE = f"{PREFETCH}.stale"
 
 #: replay-dataset-service phases (producer side of the push/pull protocol)
 SERVICE_PUSH = "service_push"

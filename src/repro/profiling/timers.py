@@ -7,18 +7,16 @@ supporting nesting via context managers and cheap enough to leave
 enabled in production training loops.
 
 The timer is **thread-safe**: each thread carries its own nesting stack
-(so phases opened on the prefetch thread nest independently of the main
-loop's), and completed durations merge into the shared totals under a
-lock.  This is what lets the execution pipeline's background mini-batch
-assembly report ``prefetch.*`` phases into the same timer the trainer
-uses, without cross-thread corruption of either the stacks or the
-accumulators.
+(so phases opened on the serving tier's flusher thread nest
+independently of the caller's), and completed durations merge into the
+shared totals under a lock, without cross-thread corruption of either
+the stacks or the accumulators.
 
 The timer doubles as the **span adapter** of the telemetry subsystem:
 after :meth:`PhaseTimer.attach_telemetry`, every completed phase emits a
 :class:`~repro.telemetry.records.SpanEvent` (dotted name, duration,
 thread) and every externally measured duration fed through :meth:`add`
-— prefetch hit/stale accounting, ``env_step.worker_wait`` — emits a
+— ``env_step.worker_wait``, ``serve.shed`` — emits a
 :class:`~repro.telemetry.records.CounterSample` into the attached
 recorder.  With no recorder (or a disabled one) the adapter costs a
 single attribute check per phase.

@@ -11,8 +11,8 @@ mirroring how the paper's exhibits are built:
   (``update_all_trainers.sampling``) with its wall-clock duration and
   the thread it ran on.
 * :class:`CounterSample` — one accumulated count/quantity observation:
-  ``prefetch.hit`` seconds, ``env_step.worker_wait``, cache-model miss
-  counts.
+  ``env_step.worker_wait`` seconds, ``serve.shed`` drops, cache-model
+  miss counts.
 * :class:`SeriesPoint` — one (step, value) point of a named series:
   reward curves, steps/sec over time.
 

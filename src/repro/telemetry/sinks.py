@@ -11,9 +11,9 @@ Three implementations cover the repo's needs:
   machine-readable trace ``BENCH_*.json`` baselines and offline analysis
   parse via :func:`~repro.telemetry.records.read_jsonl`.
 
-Sinks are thread-safe where it matters: the prefetch pipeline and
-parallel-env bookkeeping emit from background threads, so the two
-stateful sinks serialize writes under a lock.
+Sinks are thread-safe where it matters: the serving tier's flusher
+emits from a background thread, so the two stateful sinks serialize
+writes under a lock.
 """
 
 from __future__ import annotations

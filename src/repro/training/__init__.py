@@ -4,7 +4,6 @@ from .batched import collect_steps
 from .evaluation import CurveComparison, compare_curves, evaluate_policy
 from .loop import run_episode, train, train_steps
 from .metrics import EpisodeMetrics, MetricsCollector, run_episode_with_metrics
-from .prefetch import PrefetchPipeline
 from .results import RunResult, smooth_curve
 from .seeding import SeedBundle, derive_seeds
 
@@ -13,7 +12,6 @@ __all__ = [
     "train_steps",
     "run_episode",
     "collect_steps",
-    "PrefetchPipeline",
     "MetricsCollector",
     "EpisodeMetrics",
     "run_episode_with_metrics",

@@ -66,12 +66,12 @@ def _use_packed_ingest(vec_env, trainer: MADDPGTrainer) -> bool:
 
     Requires: the env exposes packed joint-schema rows, the replay ring
     is arena-backed with the *same* schema (so rows drop in verbatim),
-    storage is non-prioritized (PER needs the per-row tree bookkeeping of
-    the split path), and no layout reorganizer is attached.
+    and storage is non-prioritized (PER needs the per-row tree
+    bookkeeping of the split path).
     """
     if not hasattr(vec_env, "packed_transitions"):
         return False
-    if trainer.layout is not None or trainer.replay.prioritized:
+    if trainer.replay.prioritized:
         return False
     arena = trainer.replay.arena
     return arena is not None and arena.schema == trainer.replay.schema == vec_env.schema

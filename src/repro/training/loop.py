@@ -13,33 +13,24 @@ stays as written.  :func:`train_steps` is **the default**, the only
 step-driven driver: one sweep body over a vector env
 (:func:`~repro.training.batched.collect_steps`) whose transitions are
 handed off locally (trainer-owned replay, update rounds at the paper's
-cadence, optional prefetch overlap) or to the sharded replay service,
-as ``trainer.config`` says.  The local hand-off over a serial env is
-bit-identical to storing one transition and updating once at a time.
+cadence) or to the sharded replay service, as ``trainer.config`` says.
+The local hand-off over a serial env is bit-identical to storing one
+transition and updating once at a time.
 """
 
 from __future__ import annotations
 
 import time
 import warnings
-from contextlib import ExitStack
+from contextlib import nullcontext
 from typing import Callable, List, Optional
 
 import numpy as np
 
 from ..algos.maddpg import MADDPGTrainer
 from ..envs.environment import MultiAgentEnv
-from ..profiling.phases import (
-    PREFETCH,
-    PREFETCH_HIT,
-    PREFETCH_MISS,
-    PREFETCH_STALE,
-    SAMPLING,
-    UPDATE_ALL_TRAINERS,
-)
 from ..telemetry import NULL_RECORDER, TelemetryRecorder
 from .batched import LocalHandoff, ServiceHandoff, collect_steps
-from .prefetch import PrefetchPipeline
 from .results import RunResult
 
 __all__ = ["train", "train_steps", "run_episode"]
@@ -135,8 +126,6 @@ def train(
     result.phase_totals = trainer.timer.totals()
     result.update_rounds = trainer.update_rounds
     result.env_steps = trainer.total_env_steps
-    if trainer.layout is not None:
-        result.extra.update(trainer.layout.cost_summary())
     if telemetry is not None:
         telemetry.counter("update_rounds", result.update_rounds, unit="rounds")
         telemetry.counter("env_steps", result.env_steps, unit="steps")
@@ -162,13 +151,10 @@ def train_steps(
     transitions handed off according to the topology ``trainer.config``
     names.  ``replay_shards == 1 and learners == 1`` is the *local*
     hand-off: ingest into the trainer's own replay, update rounds at the
-    paper's cadence, and with ``prefetch`` the next round's mini-batches
-    assembled on a background thread while the current round computes
-    (see :class:`~repro.training.prefetch.PrefetchPipeline` for the
-    validity and PER epoch-guard semantics).  Any other topology is the
-    *service* hand-off (:class:`~repro.training.batched.ServiceHandoff`):
-    the main process becomes a pure rollout producer and learner
-    processes update free-running off the sharded replay service.
+    paper's cadence.  Any other topology is the *service* hand-off
+    (:class:`~repro.training.batched.ServiceHandoff`): the main process
+    becomes a pure rollout producer and learner processes update
+    free-running off the sharded replay service.
 
     Prioritized (PER) configs always take the local hand-off: PER's
     sum-tree is one global structure whose draws and priority
@@ -177,16 +163,12 @@ def train_steps(
     degradation is explicit: a warning plus a ``service.per_guard``
     telemetry counter.
 
-    ``seed`` seeds what the driver itself draws from: the prefetch
-    thread's private RNG stream and the shard servers' / learners'
-    sampling streams.
+    ``seed`` seeds what the driver itself draws from: the shard
+    servers' / learners' sampling streams.
 
     The returned :class:`RunResult` reports in ``extra``: transitions
-    stored, steps/sec, mean step reward; with prefetch the hit/miss/stale
-    counts, the hidden-sampling seconds and the measured
-    ``overlap_fraction`` — the share of sampling work that ran behind
-    update compute; in service mode the hand-off's learner and shard
-    statistics.
+    stored, steps/sec, mean step reward; in service mode the hand-off's
+    learner and shard statistics.
     """
     if steps <= 0:
         raise ValueError(f"steps must be positive, got {steps}")
@@ -212,19 +194,11 @@ def train_steps(
         )
         recorder.counter("service.per_guard", 1.0, unit="runs")
         service = False
-    pipeline: Optional[PrefetchPipeline] = None
-    with ExitStack() as stack:
-        if service:
-            handoff = stack.enter_context(
-                ServiceHandoff(vec_env, trainer, seed=0 if seed is None else seed)
-            )
-        else:
-            handoff = LocalHandoff(vec_env, trainer)
-            if config.prefetch:
-                pipeline = PrefetchPipeline(trainer, seed=seed)
-                trainer.attach_prefetcher(pipeline)
-                stack.callback(trainer.attach_prefetcher, None)
-                stack.callback(pipeline.close)
+    with (
+        ServiceHandoff(vec_env, trainer, seed=0 if seed is None else seed)
+        if service
+        else nullcontext(LocalHandoff(vec_env, trainer))
+    ) as handoff:
         start = time.perf_counter()
         stats = collect_steps(vec_env, trainer, steps, explore=explore, handoff=handoff)
     total_seconds = time.perf_counter() - start
@@ -251,22 +225,4 @@ def train_steps(
         result.extra.update(handoff.extra())
         for name, value, unit in handoff.counters():
             recorder.counter(name, value, unit=unit)
-    if pipeline is not None:
-        hidden = trainer.timer.total(PREFETCH_HIT)
-        visible = trainer.timer.total(f"{UPDATE_ALL_TRAINERS}.{SAMPLING}")
-        result.extra["prefetch_hits"] = float(pipeline.hits)
-        result.extra["prefetch_misses"] = float(pipeline.misses)
-        result.extra["prefetch_stale"] = float(pipeline.stale)
-        result.extra["prefetch_seconds"] = trainer.timer.total(PREFETCH)
-        result.extra["hidden_sampling_seconds"] = hidden
-        # share of this run's sampling work that ran behind update compute
-        result.extra["overlap_fraction"] = (
-            hidden / (hidden + visible) if hidden + visible > 0 else 0.0
-        )
-        recorder.counter("prefetch.hits", pipeline.hits, unit="rounds")
-        recorder.counter("prefetch.misses", pipeline.misses, unit="rounds")
-        recorder.counter("prefetch.stales", pipeline.stale, unit="rounds")
-        recorder.counter(
-            "overlap_fraction", result.extra["overlap_fraction"], unit="fraction"
-        )
     return result

@@ -22,18 +22,11 @@ from repro.nn.functional import one_hot
 from tests.conftest import engine_config
 
 
-def tiny_trainer(cls=MADDPGTrainer, sampler=None, use_layout=False, seed=0, **cfg):
+def tiny_trainer(cls=MADDPGTrainer, sampler=None, seed=0, **cfg):
     defaults = dict(batch_size=32, buffer_capacity=512, update_every=10)
     defaults.update(cfg)
     config = engine_config(**defaults)
-    return cls(
-        [8, 8, 6],
-        [5, 5, 5],
-        config=config,
-        sampler=sampler,
-        use_layout=use_layout,
-        seed=seed,
-    )
+    return cls([8, 8, 6], [5, 5, 5], config=config, sampler=sampler, seed=seed)
 
 
 def feed(trainer, rng, steps):
@@ -230,16 +223,6 @@ class TestSamplerIntegration:
         trainer.update(force=True)
         assert trainer.sampler.beta >= beta0
 
-    def test_layout_trainer_updates(self, rng):
-        trainer = tiny_trainer(use_layout=True)
-        feed(trainer, rng, 40)
-        assert trainer.update() is not None
-        assert trainer.layout is not None
-
-    def test_layout_with_prioritized_rejected(self):
-        with pytest.raises(ValueError, match="one at a time"):
-            tiny_trainer(sampler=PrioritizedSampler(), use_layout=True)
-
 
 class TestMATD3:
     def test_twin_critics_built(self):
@@ -315,7 +298,6 @@ class TestVariantFactory:
         assert isinstance(
             make_sampler("info_prioritized", 1024), InformationPrioritizedSampler
         )
-        assert make_sampler("layout", 1024) is None
 
     def test_unknown_variant_raises(self):
         with pytest.raises(ValueError, match="unknown variant"):

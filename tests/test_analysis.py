@@ -110,14 +110,16 @@ class TestRankBiserial:
         assert abs(rank_biserial(a, b)) < 0.3
 
 
-def tiny_spec(variant: str) -> WorkloadSpec:
+def tiny_spec(variant: str, **engine) -> WorkloadSpec:
     return WorkloadSpec(
         algorithm="maddpg",
         env_name="cooperative_navigation",
         num_agents=2,
         variant=variant,
         episodes=3,
-        config=MARLConfig(batch_size=16, buffer_capacity=256, update_every=10),
+        config=MARLConfig(
+            batch_size=16, buffer_capacity=256, update_every=10, **engine
+        ),
     )
 
 
@@ -145,7 +147,7 @@ class TestMultiSeed:
 
     def test_compare_variants(self):
         base = run_seeds(tiny_spec("baseline"), seeds=[0, 1, 2])
-        opt = run_seeds(tiny_spec("baseline_vectorized"), seeds=[0, 1, 2])
+        opt = run_seeds(tiny_spec("baseline", fast_path=True), seeds=[0, 1, 2])
         cmp = compare_variants(base, opt, metric="sampling")
         assert cmp.metric == "sampling"
         assert cmp.baseline.n == 3 and cmp.optimized.n == 3

@@ -29,7 +29,6 @@ from repro.nn import (
     single_forward,
     stack_adam_states,
     stack_sequentials,
-    stacked_mlp,
 )
 
 from tests.conftest import engine_config, fill_multi_agent_replay
@@ -313,11 +312,6 @@ class TestStackedSubstrate:
         ]
         with pytest.raises(ValueError):
             stack_sequentials(nets)
-
-    def test_stacked_mlp_shapes(self, rng):
-        net = stacked_mlp(4, 6, 3, hidden=(8, 8), rng=rng)
-        out = net(rng.normal(size=(4, 10, 6)))
-        assert out.shape == (4, 10, 3)
 
     def test_clip_grad_norm_stacked_matches_scalar(self, rng):
         nets = [

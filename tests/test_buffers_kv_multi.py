@@ -35,11 +35,31 @@ class TestKVStoreEager:
         schema = JointSchema.from_dims([4, 3], [2, 2])
         return KVTransitionStore(16, schema), schema
 
+    @staticmethod
+    def write_joint(store, obs, act, rew, next_obs, done):
+        """One timestep through the arena's write path: every agent's
+        column views at the cursor, then one joint advance."""
+        slot = store.next_index
+        for k in range(store.num_agents):
+            views = store.agent_views(k)
+            views["obs"][slot] = obs[k]
+            views["act"][slot] = act[k]
+            views["rew"][slot] = rew[k]
+            views["next_obs"][slot] = next_obs[k]
+            views["done"][slot] = float(done[k])
+        store.advance(1)
+
+    def write_zeros(self, store, rew=(0.0, 0.0)):
+        zeros = [np.zeros(4), np.zeros(3)]
+        self.write_joint(
+            store, zeros, [np.zeros(2), np.zeros(2)], rew, zeros, [False, False]
+        )
+
     def test_append_and_unpack_round_trip(self, rng):
         store, _ = self.make_store()
         obs = [rng.standard_normal(4), rng.standard_normal(3)]
         act = [rng.standard_normal(2), rng.standard_normal(2)]
-        store.append_joint(obs, act, [1.0, 2.0], obs, [False, True])
+        self.write_joint(store, obs, act, [1.0, 2.0], obs, [False, True])
         rows = store.gather_joint([0])
         for k in range(2):
             o, a, r, no, d = store.unpack_agent(rows, k)
@@ -51,34 +71,17 @@ class TestKVStoreEager:
     def test_ring_wrap(self, rng):
         store, _ = self.make_store()
         for i in range(20):
-            store.append_joint(
-                [np.zeros(4), np.zeros(3)],
-                [np.zeros(2), np.zeros(2)],
-                [float(i), 0.0],
-                [np.zeros(4), np.zeros(3)],
-                [False, False],
-            )
+            self.write_zeros(store, rew=(float(i), 0.0))
         assert len(store) == 16
         rows = store.gather_joint([0])
         _, _, r, _, _ = store.unpack_agent(rows, 0)
         assert r[0] == 16.0  # slot 0 overwritten by insert 16
 
-    def test_wrong_field_counts_raise(self):
-        store, _ = self.make_store()
-        with pytest.raises(ValueError):
-            store.append_joint([np.zeros(4)], [np.zeros(2)], [0.0], [np.zeros(4)], [False])
-
     def test_gather_validation(self, rng):
         store, _ = self.make_store()
         with pytest.raises(ValueError):
             store.gather_joint([0])  # empty store
-        store.append_joint(
-            [np.zeros(4), np.zeros(3)],
-            [np.zeros(2), np.zeros(2)],
-            [0.0, 0.0],
-            [np.zeros(4), np.zeros(3)],
-            [False, False],
-        )
+        self.write_zeros(store)
         with pytest.raises(IndexError):
             store.gather_joint([5])
         with pytest.raises(ValueError):
@@ -86,13 +89,7 @@ class TestKVStoreEager:
 
     def test_unpack_agent_index_validation(self, rng):
         store, _ = self.make_store()
-        store.append_joint(
-            [np.zeros(4), np.zeros(3)],
-            [np.zeros(2), np.zeros(2)],
-            [0.0, 0.0],
-            [np.zeros(4), np.zeros(3)],
-            [False, False],
-        )
+        self.write_zeros(store)
         rows = store.gather_joint([0])
         with pytest.raises(IndexError):
             store.unpack_agent(rows, 2)

@@ -50,7 +50,6 @@ FIELD_VALUES = {
     "batched_update": (True, False),
     "shared_batch": (True, False),
     "env_workers": (0, 2),
-    "prefetch": (True, False),
     "storage": ("agent_major", "timestep_major"),
     "replay_shards": (1, 2),
     "learners": (1, 2),

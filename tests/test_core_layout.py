@@ -17,28 +17,28 @@ def make_replay(rng, rows=200, capacity=512):
 class TestLazyMode:
     def test_stale_until_reorganized(self, rng):
         replay = make_replay(rng)
-        layout = LayoutReorganizer(replay, mode="lazy")
+        layout = LayoutReorganizer(replay)
         assert layout.stale
         layout.reorganize()
         assert not layout.stale
 
     def test_insert_makes_stale_again(self, rng):
         replay = make_replay(rng)
-        layout = LayoutReorganizer(replay, mode="lazy")
+        layout = LayoutReorganizer(replay)
         layout.reorganize()
         fill_multi_agent_replay(replay, rng, 1)
         assert layout.stale
 
     def test_sample_triggers_sync(self, rng):
         replay = make_replay(rng)
-        layout = LayoutReorganizer(replay, mode="lazy")
+        layout = LayoutReorganizer(replay)
         batch = layout.sample_all_agents(rng, 32)
         assert batch.size == 32
         assert layout.reorganizations == 1
 
     def test_reorganize_counts_floats(self, rng):
         replay = make_replay(rng, rows=100)
-        layout = LayoutReorganizer(replay, mode="lazy")
+        layout = LayoutReorganizer(replay)
         moved = layout.reorganize()
         assert moved == 100 * replay.schema.width
         assert layout.reshape_floats == moved
@@ -46,7 +46,7 @@ class TestLazyMode:
 
     def test_sample_content_matches_agent_major(self, rng):
         replay = make_replay(rng)
-        layout = LayoutReorganizer(replay, mode="lazy")
+        layout = LayoutReorganizer(replay)
         batch = layout.sample_all_agents(rng, 16)
         for k, buf in enumerate(replay.buffers):
             direct = buf.gather_vectorized(batch.indices)
@@ -56,70 +56,27 @@ class TestLazyMode:
 
     def test_no_redundant_reorganization(self, rng):
         replay = make_replay(rng)
-        layout = LayoutReorganizer(replay, mode="lazy")
+        layout = LayoutReorganizer(replay)
         layout.sample_all_agents(rng, 16)
         layout.sample_all_agents(rng, 16)
         assert layout.reorganizations == 1  # second sample reuses the store
 
 
-class TestEagerMode:
-    def test_notify_insert_keeps_store_synced(self, rng):
-        replay = MultiAgentReplay([4, 4], [2, 2], capacity=64)
-        layout = LayoutReorganizer(replay, mode="eager")
-        for i in range(40):
-            obs = [rng.standard_normal(4), rng.standard_normal(4)]
-            act = [rng.standard_normal(2), rng.standard_normal(2)]
-            replay.add(obs, act, [float(i)] * 2, obs, [False] * 2)
-            layout.notify_insert(obs, act, [float(i)] * 2, obs, [False] * 2)
-        assert not layout.stale
-        batch = layout.sample_all_agents(rng, 16)
-        np.testing.assert_array_equal(
-            batch.agents[0].rew, batch.indices.astype(float)
-        )
-
-    def test_eager_never_bulk_reorganizes(self, rng):
-        replay = MultiAgentReplay([4], [2], capacity=64)
-        layout = LayoutReorganizer(replay, mode="eager")
-        for i in range(40):
-            obs = [rng.standard_normal(4)]
-            act = [rng.standard_normal(2)]
-            replay.add(obs, act, [0.0], obs, [False])
-            layout.notify_insert(obs, act, [0.0], obs, [False])
-        layout.sample_all_agents(rng, 16)
-        assert layout.reorganizations == 0
-
-    def test_lazy_ignores_notify(self, rng):
-        replay = make_replay(rng, rows=10)
-        layout = LayoutReorganizer(replay, mode="lazy")
-        layout.notify_insert(
-            [np.zeros(8), np.zeros(6)],
-            [np.zeros(3), np.zeros(3)],
-            [0.0, 0.0],
-            [np.zeros(8), np.zeros(6)],
-            [False, False],
-        )
-        assert len(layout.store) == 0
-
-
 class TestValidation:
-    def test_invalid_mode(self, rng):
-        with pytest.raises(ValueError, match="mode"):
-            LayoutReorganizer(make_replay(rng), mode="sometimes")
-
     def test_sample_too_large(self, rng):
         replay = make_replay(rng, rows=10)
-        layout = LayoutReorganizer(replay, mode="lazy")
+        layout = LayoutReorganizer(replay)
         with pytest.raises(ValueError, match="need >= 32"):
             layout.sample_all_agents(rng, 32)
 
     def test_invalid_batch_size(self, rng):
         replay = make_replay(rng)
-        layout = LayoutReorganizer(replay, mode="lazy")
+        layout = LayoutReorganizer(replay)
         with pytest.raises(ValueError):
             layout.sample_all_agents(rng, 0)
 
     def test_cost_summary_keys(self, rng):
-        layout = LayoutReorganizer(make_replay(rng), mode="lazy")
+        layout = LayoutReorganizer(make_replay(rng))
         layout.reorganize()
         summary = layout.cost_summary()
         assert set(summary) == {"reshape_floats", "reshape_seconds", "reorganizations"}

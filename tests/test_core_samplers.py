@@ -36,10 +36,10 @@ class TestUniformSampler:
         np.testing.assert_array_equal(batch.agents[0].obs, direct[0])
 
     def test_vectorized_matches_loop_distributionally(self, small_replay):
-        a = UniformSampler(vectorized=False).sample(
+        a = UniformSampler(fast_path=False).sample(
             small_replay, np.random.default_rng(5), batch_size=32
         )
-        b = UniformSampler(vectorized=True).sample(
+        b = UniformSampler(fast_path=True).sample(
             small_replay, np.random.default_rng(5), batch_size=32
         )
         np.testing.assert_array_equal(a.indices, b.indices)

@@ -133,9 +133,9 @@ class TestMicrobench:
 
     def test_time_layout_round_with_and_without_reshape(self, rng):
         replay = self.make_replay(rng)
-        layout = LayoutReorganizer(replay, mode="lazy")
+        layout = LayoutReorganizer(replay)
         with_reshape = time_layout_round(layout, rng, batch_size=64, rounds=2)
-        layout2 = LayoutReorganizer(replay, mode="lazy")
+        layout2 = LayoutReorganizer(replay)
         without = time_layout_round(
             layout2, rng, batch_size=64, rounds=2, include_reshape=False
         )

@@ -182,6 +182,28 @@ class TestCLI:
         assert code == 0
         assert "sampling" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["train", "profile"])
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--variant", "nosuch"], "unknown variant 'nosuch'"),
+            (["--variant", "layout"], "--variant baseline --fast-path"),
+            (["--env", "nosuch"], "unknown environment 'nosuch'; available:"),
+            (
+                ["--variant", "cache_aware_n16_r64", "--batch-size", "64"],
+                "16 * 64 != batch size 64",
+            ),
+        ],
+    )
+    def test_bad_cell_is_a_usage_error_not_a_traceback(
+        self, capsys, command, flags, message
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, *flags])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"repro {command}: error:" in err and message in err
+
     def test_sample_command(self, capsys):
         code = main([
             "sample", "--agents", "2", "--batch-size", "64", "--rows", "256",

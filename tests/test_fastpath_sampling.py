@@ -401,12 +401,6 @@ class TestFastPathThreading:
         s.set_fast_path(True)
         assert s.fast_path is True
 
-    def test_uniform_vectorized_alias(self):
-        assert UniformSampler(vectorized=True).fast_path is True
-        assert UniformSampler(vectorized=True).vectorized is True
-        assert UniformSampler(fast_path=True).vectorized is True
-        assert UniformSampler().fast_path is False
-
     def test_reuse_wrapper_delegates(self):
         from repro.core.reuse import ReuseWindowSampler
 

@@ -47,8 +47,8 @@ class TestRowwiseIngest:
         replay = self.make_replay(rng)
         with pytest.raises(ValueError, match="ingest"):
             LayoutReorganizer(replay, ingest="quantum")
-        rowwise = LayoutReorganizer(replay, mode="lazy", ingest="rowwise")
-        block = LayoutReorganizer(replay, mode="lazy", ingest="block")
+        rowwise = LayoutReorganizer(replay, ingest="rowwise")
+        block = LayoutReorganizer(replay, ingest="block")
         rowwise.reorganize()
         block.reorganize()
         batch_a = rowwise.sample_all_agents(np.random.default_rng(0), 16)

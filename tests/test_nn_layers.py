@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.nn import (
-    Concat,
     Identity,
     LeakyReLU,
     Linear,
@@ -161,38 +160,3 @@ class TestSequential:
         net = Sequential()
         x = rng.standard_normal((2, 3))
         np.testing.assert_array_equal(net(x), x)
-
-
-class TestConcat:
-    def test_forward_concatenates(self, rng):
-        c = Concat()
-        a = rng.standard_normal((4, 3))
-        b = rng.standard_normal((4, 5))
-        out = c.forward([a, b])
-        assert out.shape == (4, 8)
-        np.testing.assert_array_equal(out[:, :3], a)
-
-    def test_split_inverts_widths(self, rng):
-        c = Concat()
-        blocks = [rng.standard_normal((2, w)) for w in (3, 1, 4)]
-        out = c.forward(blocks)
-        grads = c.split(np.ones_like(out))
-        assert [g.shape[1] for g in grads] == [3, 1, 4]
-
-    def test_split_before_forward_raises(self):
-        with pytest.raises(RuntimeError):
-            Concat().split(np.ones((2, 3)))
-
-    def test_mismatched_batch_raises(self, rng):
-        with pytest.raises(ValueError, match="batch dimension"):
-            Concat().forward([np.ones((2, 3)), np.ones((3, 3))])
-
-    def test_empty_blocks_raise(self):
-        with pytest.raises(ValueError):
-            Concat().forward([])
-
-    def test_split_wrong_width_raises(self, rng):
-        c = Concat()
-        c.forward([np.ones((2, 2)), np.ones((2, 2))])
-        with pytest.raises(ValueError):
-            c.split(np.ones((2, 5)))

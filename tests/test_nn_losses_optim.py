@@ -9,15 +9,12 @@ from repro.nn import (
     Adam,
     Linear,
     Parameter,
-    SGD,
     Sequential,
     clip_grad_norm,
-    epsilon_greedy,
     get_initializer,
     gumbel_softmax,
     he_normal,
     he_uniform,
-    huber_loss,
     mse_loss,
     one_hot,
     softmax,
@@ -74,40 +71,8 @@ class TestLosses:
         with pytest.raises(ValueError):
             mse_loss(np.ones(0), np.ones(0))
 
-    def test_huber_quadratic_region_matches_half_mse(self):
-        pred = np.array([0.5, -0.3])
-        target = np.zeros(2)
-        loss, _ = huber_loss(pred, target, delta=1.0)
-        assert loss == pytest.approx(0.5 * np.mean(pred**2))
-
-    def test_huber_linear_region_bounded_gradient(self):
-        pred = np.array([100.0])
-        _, grad = huber_loss(pred, np.zeros(1), delta=1.0)
-        assert abs(grad[0]) <= 1.0
-
-    def test_huber_invalid_delta(self):
-        with pytest.raises(ValueError):
-            huber_loss(np.ones(2), np.zeros(2), delta=0.0)
-
 
 class TestOptimizers:
-    def test_sgd_single_step(self):
-        p = Parameter(np.array([1.0]))
-        p.grad[:] = 0.5
-        SGD([p], lr=0.1).step()
-        assert p.value[0] == pytest.approx(1.0 - 0.05)
-
-    def test_sgd_momentum_accumulates(self):
-        p = Parameter(np.array([0.0]))
-        opt = SGD([p], lr=1.0, momentum=0.9)
-        p.grad[:] = 1.0
-        opt.step()
-        first = p.value[0]
-        p.grad[:] = 1.0
-        opt.step()
-        # second step moves further due to velocity
-        assert (first - p.value[0]) > abs(first)
-
     def test_adam_first_step_is_lr_sized(self):
         p = Parameter(np.array([0.0]))
         opt = Adam([p], lr=0.01)
@@ -121,15 +86,6 @@ class TestOptimizers:
         for _ in range(500):
             opt.zero_grad()
             p.grad[:] = 2 * p.value  # d/dx x^2
-            opt.step()
-        assert abs(p.value[0]) < 1e-3
-
-    def test_sgd_converges_on_quadratic_faster_than_nothing(self):
-        p = Parameter(np.array([5.0]))
-        opt = SGD([p], lr=0.1)
-        for _ in range(100):
-            opt.zero_grad()
-            p.grad[:] = 2 * p.value
             opt.step()
         assert abs(p.value[0]) < 1e-3
 
@@ -148,7 +104,7 @@ class TestOptimizers:
     def test_zero_grad(self):
         p = Parameter(np.zeros(2))
         p.grad[:] = 3.0
-        opt = SGD([p], lr=0.1)
+        opt = Adam([p], lr=0.1)
         opt.zero_grad()
         assert np.all(p.grad == 0)
 
@@ -246,23 +202,6 @@ class TestFunctional:
             draws += hard[0]
         freq = draws / draws.sum()
         np.testing.assert_allclose(freq, [0.7, 0.2, 0.1], atol=0.04)
-
-    def test_epsilon_greedy_zero_eps_is_greedy(self, rng):
-        greedy = np.array([1, 2, 3])
-        out = epsilon_greedy(rng, greedy, 5, 0.0)
-        np.testing.assert_array_equal(out, greedy)
-
-    def test_epsilon_greedy_one_eps_is_random(self):
-        rng = np.random.default_rng(0)
-        greedy = np.zeros(5000, dtype=np.int64)
-        out = epsilon_greedy(rng, greedy, 5, 1.0)
-        # each action appears ~20% of the time
-        counts = np.bincount(out, minlength=5) / out.size
-        np.testing.assert_allclose(counts, 0.2, atol=0.03)
-
-    def test_epsilon_validation(self, rng):
-        with pytest.raises(ValueError):
-            epsilon_greedy(rng, np.zeros(1, dtype=int), 5, 1.5)
 
     @given(st.integers(min_value=1, max_value=16), st.integers(min_value=1, max_value=64))
     @settings(max_examples=25, deadline=None)

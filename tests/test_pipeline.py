@@ -1,12 +1,9 @@
-"""Overlapped actor-learner pipeline tests (PR 4 tentpole).
+"""Step-driven driver tests: collection, ingest and the parallel collector.
 
-Property-tests the ISSUE's determinism contract: ``--env-workers 1
---no-prefetch`` is bit-identical to the serial batched loop, the
-process-parallel collector trains bit-identically to the sync engine,
-uniform prefetch actually serves rounds (hits) while PER's priority-
-epoch guard discards every prefetched round without perturbing the
-training trajectory, and ``collect_steps`` handles auto-reset episode
-boundaries for K > 1.
+Property-tests the determinism contract: ``--env-workers 1`` is
+bit-identical to the serial batched loop, the process-parallel collector
+trains bit-identically to the sync engine, and ``collect_steps`` handles
+auto-reset episode boundaries for K > 1.
 """
 
 from __future__ import annotations
@@ -17,12 +14,8 @@ import pytest
 import repro
 from repro.envs.factory import make_env_factories, make_vector_env
 from repro.envs.vector import SyncVectorEnv
-from repro.profiling.phases import (
-    PREFETCH_HIT,
-    PREFETCH_STALE,
-    WORKER_WAIT,
-)
-from repro.training import PrefetchPipeline, collect_steps, train_steps
+from repro.profiling.phases import WORKER_WAIT
+from repro.training import collect_steps, train_steps
 from tests.conftest import engine_config
 
 ENV, N = "cooperative_navigation", 3
@@ -46,8 +39,8 @@ def build(algorithm, variant, vec, config, seed=11):
     )
 
 
-def run_pipeline(algorithm, variant, workers, prefetch, steps=50, copies=4, **cfg):
-    config = small_config(prefetch=prefetch, **cfg)
+def run_pipeline(algorithm, variant, workers, steps=50, copies=4, **cfg):
+    config = small_config(**cfg)
     vec = make_vector_env(ENV, N, copies, seed=5, workers=workers)
     trainer = build(algorithm, variant, vec, config)
     try:
@@ -87,8 +80,11 @@ def sequential_reference(trainer, steps, copies, seed, num_agents=N, **env_kwarg
 
 def assert_trainers_equal(a, b):
     """Bit-equality of every network parameter and the replay contents."""
+    nets = ["actor", "critic", "target_actor", "target_critic"]
+    if a.twin_critics:
+        nets += ["critic2", "target_critic2"]
     for agent_a, agent_b in zip(a.agents, b.agents):
-        for net in ("actor", "critic", "target_actor", "target_critic"):
+        for net in nets:
             for pa, pb in zip(
                 getattr(agent_a, net).parameters(), getattr(agent_b, net).parameters()
             ):
@@ -104,15 +100,15 @@ def assert_trainers_equal(a, b):
 
 
 class TestSerialBitIdentity:
-    """--env-workers 1 --no-prefetch == today's serial batched loop."""
+    """--env-workers 1 == the serial batched loop."""
 
     @pytest.mark.parametrize(
         "algorithm,variant",
         [("maddpg", "baseline"), ("matd3", "baseline"), ("maddpg", "per"), ("matd3", "per")],
     )
     def test_workers_one_no_prefetch_is_serial(self, algorithm, variant):
-        ref, _ = run_pipeline(algorithm, variant, workers=0, prefetch=False)
-        one, _ = run_pipeline(algorithm, variant, workers=1, prefetch=False)
+        ref, _ = run_pipeline(algorithm, variant, workers=0)
+        one, _ = run_pipeline(algorithm, variant, workers=1)
         assert_trainers_equal(ref, one)
 
     @pytest.mark.parametrize("algorithm", ["maddpg", "matd3"])
@@ -120,103 +116,13 @@ class TestSerialBitIdentity:
     def test_parallel_collector_trains_bit_identical(self, algorithm, storage):
         """Two worker processes (and, under timestep-major storage, the
         packed shared-memory ingest path) reproduce the serial run."""
-        ref, _ = run_pipeline(algorithm, "baseline", 0, False, storage=storage)
-        par, _ = run_pipeline(algorithm, "baseline", 2, False, storage=storage)
+        ref, _ = run_pipeline(algorithm, "baseline", 0, storage=storage)
+        par, _ = run_pipeline(algorithm, "baseline", 2, storage=storage)
         assert_trainers_equal(ref, par)
 
     def test_parallel_collector_reports_worker_wait(self):
-        trainer, _ = run_pipeline("maddpg", "baseline", 2, False, steps=10)
+        trainer, _ = run_pipeline("maddpg", "baseline", 2, steps=10)
         assert trainer.timer.count(WORKER_WAIT) == 10
-
-
-class TestPrefetch:
-    def test_uniform_prefetch_serves_rounds(self):
-        trainer, result = run_pipeline("maddpg", "baseline", 0, True)
-        assert result.extra["prefetch_hits"] > 0
-        assert result.extra["prefetch_stale"] == 0
-        assert trainer.timer.total(PREFETCH_HIT) > 0
-        assert 0.0 < result.extra["overlap_fraction"] <= 1.0
-
-    def test_uniform_prefetch_with_shared_batch(self):
-        trainer, result = run_pipeline(
-            "maddpg", "baseline", 0, True, shared_batch=True, batched_update=True
-        )
-        assert result.extra["prefetch_hits"] > 0
-
-    @pytest.mark.parametrize("algorithm", ["maddpg", "matd3"])
-    @pytest.mark.parametrize("variant", ["per", "info_prioritized"])
-    def test_per_epoch_guard_discards_and_preserves_trajectory(
-        self, algorithm, variant
-    ):
-        """Prioritized sampling: every prefetched round must be discarded
-        (stale) and the training trajectory must match the non-prefetch
-        run bit-for-bit."""
-        ref, _ = run_pipeline(algorithm, variant, 0, False)
-        pre, result = run_pipeline(algorithm, variant, 0, True)
-        assert result.extra["prefetch_hits"] == 0
-        assert pre.timer.count(PREFETCH_STALE) + int(
-            result.extra["prefetch_misses"]
-        ) == pre.update_rounds
-        assert_trainers_equal(ref, pre)
-
-    def test_prefetch_rng_stream_is_private(self):
-        """The pipeline draws from its own generator: until the first
-        update round (where a hit legitimately skips the main thread's
-        sampler draws) the exploration/replay stream is untouched.
-
-        After a hit the main stream intentionally consumes fewer draws —
-        uniform prefetch is 'valid as-is', not bit-identical to serial;
-        full-trajectory identity under always-discard is covered by the
-        PER epoch-guard test."""
-        ref, _ = run_pipeline("maddpg", "baseline", 0, False)
-        pre, _ = run_pipeline("maddpg", "baseline", 0, True)
-        # first round fires at min_buffer_fill=64 rows; rows written
-        # before it must be bit-identical despite background assemblies
-        first_round_rows = 64
-        assert len(ref.replay) == len(pre.replay)
-        for buf_a, buf_b in zip(ref.replay.buffers, pre.replay.buffers):
-            np.testing.assert_array_equal(
-                buf_a._obs[:first_round_rows], buf_b._obs[:first_round_rows]
-            )
-            np.testing.assert_array_equal(
-                buf_a._act[:first_round_rows], buf_b._act[:first_round_rows]
-            )
-
-    def test_prefetcher_rejects_layout_trainer(self):
-        vec = make_vector_env(ENV, N, 2, seed=5, workers=0)
-        trainer = build("maddpg", "layout", vec, small_config())
-        pipeline = PrefetchPipeline(trainer, seed=0)
-        try:
-            with pytest.raises(ValueError):
-                trainer.attach_prefetcher(pipeline)
-        finally:
-            pipeline.close()
-
-    def test_stale_on_ring_overwrite(self):
-        """A tiny ring that wraps between rounds invalidates prefetched
-        batches via the overwrite guard instead of serving dead rows."""
-        trainer, result = run_pipeline(
-            "maddpg",
-            "baseline",
-            0,
-            True,
-            steps=80,
-            buffer_capacity=96,
-            min_buffer_fill=32,
-            batch_size=16,
-        )
-        # before the 96-slot ring wraps, the 20 inter-round writes land in
-        # fresh slots (hits are legitimate); once it wraps, every round's
-        # 3 x 16 sampled indices almost surely intersect the 20
-        # overwritten slots and the guard must discard
-        stale, hits, misses = (
-            result.extra["prefetch_stale"],
-            result.extra["prefetch_hits"],
-            result.extra["prefetch_misses"],
-        )
-        assert stale > 0
-        assert stale > hits  # post-wrap rounds dominate
-        assert hits + misses + stale == result.update_rounds
 
 
 class TestCollectStepsAutoReset:

@@ -107,8 +107,8 @@ class TestPhaseTimer:
 
 
 class TestThreadSafety:
-    """The execution pipeline shares one timer between the main loop and
-    the prefetch thread; stacks are per-thread, totals merge under a lock."""
+    """The serving tier shares one timer between its callers and the
+    flusher thread; stacks are per-thread, totals merge under a lock."""
 
     def test_concurrent_phases_merge_into_shared_totals(self):
         timer = PhaseTimer()
@@ -142,8 +142,8 @@ class TestThreadSafety:
         release = threading.Event()
 
         def background():
-            with timer.phase("prefetch"):
-                with timer.phase("assembly"):
+            with timer.phase("serve"):
+                with timer.phase("flush"):
                     started.set()
                     release.wait(timeout=5.0)
 
@@ -157,10 +157,10 @@ class TestThreadSafety:
             worker.join()
         keys = set(timer.phases())
         assert "update_loop.sampling" in keys
-        assert "prefetch.assembly" in keys
+        assert "serve.flush" in keys
         # no cross-thread contamination of either stack
-        assert "update_loop.prefetch" not in keys
-        assert "prefetch.sampling" not in keys
+        assert "update_loop.serve" not in keys
+        assert "serve.sampling" not in keys
 
     def test_reset_raises_while_phase_active_on_another_thread(self):
         timer = PhaseTimer()

@@ -1,13 +1,12 @@
 """Topology tests of the one step-driven driver, ``train_steps``.
 
 The driver reads its topology from ``trainer.config``:
-``(replay_shards, learners, prefetch)``.  The serial cell ``(1, 1, off)``
-must reproduce the store-one / update-once sequential reference bit for
-bit; prefetch keeps its validity properties; the service cells (shard
-servers + learner processes) must conserve rows, merge the learners'
-work back, and leak nothing.  Prioritized replay lands on the reference
-in *every* cell: the PER guard degrades service topologies explicitly,
-and the epoch guard discards every prefetched round.
+``(replay_shards, learners)``.  The serial cell ``(1, 1)`` must
+reproduce the store-one / update-once sequential reference bit for bit;
+the service cells (shard servers + learner processes) must conserve
+rows, merge the learners' work back, and leak nothing.  Prioritized
+replay lands on the reference in *every* cell: the PER guard degrades
+service topologies explicitly.
 
 The learners run the trainer's own update round on an injected batch;
 ``TestInjectedRound`` pins that to the standalone round function it
@@ -37,18 +36,17 @@ from tests.test_pipeline import (
 
 COPIES, STEPS, ENV_SEED = 4, 60, 5
 
-#: (replay_shards, learners, prefetch)
-TOPOLOGIES = [(1, 1, False), (1, 1, True), (2, 1, False), (2, 2, False)]
+#: (replay_shards, learners)
+TOPOLOGIES = [(1, 1), (2, 1), (2, 2)]
 
 
 def shm_leaks():
     return glob.glob("/dev/shm/repro_svc_*") + glob.glob("/dev/shm/repro_param_*")
 
 
-def run_topology(algorithm, variant, shards, learners, prefetch, telemetry=None):
+def run_topology(algorithm, variant, shards, learners, telemetry=None):
     config = small_config(
-        min_buffer_fill=32, batch_size=16,
-        replay_shards=shards, learners=learners, prefetch=prefetch,
+        min_buffer_fill=32, batch_size=16, replay_shards=shards, learners=learners
     )
     vec = make_vector_env(ENV, 3, COPIES, seed=ENV_SEED, workers=0)
     trainer = build(algorithm, variant, vec, config)
@@ -68,13 +66,13 @@ def reference(algorithm, variant):
 
 
 @pytest.mark.parametrize("algorithm", ["maddpg", "matd3"])
-@pytest.mark.parametrize("shards,learners,prefetch", TOPOLOGIES)
+@pytest.mark.parametrize("shards,learners", TOPOLOGIES)
 class TestTopologies:
-    def test_uniform(self, algorithm, shards, learners, prefetch):
+    def test_uniform(self, algorithm, shards, learners):
         leaks_before = set(shm_leaks())
         recorder = memory_recorder()
         trainer, result, moved = run_topology(
-            algorithm, "baseline", shards, learners, prefetch, telemetry=recorder
+            algorithm, "baseline", shards, learners, telemetry=recorder
         )
         assert result.extra["transitions"] == STEPS * COPIES
         if shards > 1 or learners > 1:
@@ -95,30 +93,25 @@ class TestTopologies:
             assert units["service.shards"] == "shards"
             assert units["service.staleness_max"] == "versions"
             assert all(units[f"service.shard{s}.ingested"] == "rows" for s in range(shards))
-        elif prefetch:
-            assert result.extra["prefetch_hits"] > 0
-            assert result.extra["prefetch_stale"] == 0
         else:
             assert_trainers_equal(reference(algorithm, "baseline"), trainer)
 
-    def test_prioritized(self, algorithm, shards, learners, prefetch):
+    def test_prioritized(self, algorithm, shards, learners):
         recorder = memory_recorder()
         if shards > 1 or learners > 1:
             with pytest.warns(RuntimeWarning, match="single-shard guard"):
                 trainer, result, _ = run_topology(
-                    algorithm, "per", shards, learners, prefetch, telemetry=recorder
+                    algorithm, "per", shards, learners, telemetry=recorder
                 )
         else:
             trainer, result, _ = run_topology(
-                algorithm, "per", shards, learners, prefetch, telemetry=recorder
+                algorithm, "per", shards, learners, telemetry=recorder
             )
         guard = [
             r for r in recorder.sink.of_kind("counter") if r.name == "service.per_guard"
         ]
         assert len(guard) == (1 if shards > 1 or learners > 1 else 0)
         assert "learner_rounds" not in result.extra  # local hand-off, no service
-        if prefetch:
-            assert result.extra["prefetch_hits"] == 0  # the epoch guard discards all
         assert_trainers_equal(reference(algorithm, "per"), trainer)
 
 
@@ -131,7 +124,6 @@ def injected_round_reference(trainer, batch, agents):
     trainer.sampler.set_beta(trainer.beta_schedule.step())
     trainer._shared_round_batch = None
     trainer._round_cache = {}
-    trainer._prefetched_round = {}
     with trainer.timer.phase(UPDATE_ALL_TRAINERS):
         for i in owned:
             with trainer.timer.phase(TARGET_Q):

@@ -204,13 +204,13 @@ class TestByteEquivalence:
 class TestSharedArenaReorganizer:
     def test_reorganizer_adopts_replay_arena(self):
         _, tm = make_pair(capacity=16)
-        layout = LayoutReorganizer(tm, mode="lazy")
+        layout = LayoutReorganizer(tm)
         assert layout.shared_arena
         assert layout.store is tm.arena
 
     def test_never_stale_and_zero_reshape_cost(self):
         _, tm = make_pair(capacity=16)
-        layout = LayoutReorganizer(tm, mode="lazy")
+        layout = LayoutReorganizer(tm)
         ingest_stream(tm, seed=4, steps=10)
         assert not layout.stale
         assert layout.reorganize() == 0
@@ -218,23 +218,13 @@ class TestSharedArenaReorganizer:
         assert summary["reshape_floats"] == 0.0
         assert summary["reorganizations"] == 0.0
 
-    def test_eager_notify_does_not_double_write(self):
-        _, tm = make_pair(capacity=16)
-        layout = LayoutReorganizer(tm, mode="eager")
-        rng = np.random.default_rng(5)
-        obs = [rng.standard_normal(b.obs_dim) for b in tm.buffers]
-        act = [rng.standard_normal(b.act_dim) for b in tm.buffers]
-        tm.add(obs, act, [0.5, -0.5], obs, [False, True])
-        layout.notify_insert(obs, act, [0.5, -0.5], obs, [False, True])
-        assert len(tm.arena) == 1  # notify did not advance the shared ring
-
     def test_samples_match_mirrored_reorganizer(self):
         """Shared-arena sampling == ingest-on-demand mirror sampling."""
         am, tm = make_pair(capacity=32)
         ingest_stream(am, seed=6, steps=20)
         ingest_stream(tm, seed=6, steps=20)
-        mirrored = LayoutReorganizer(am, mode="lazy")
-        shared = LayoutReorganizer(tm, mode="lazy")
+        mirrored = LayoutReorganizer(am)
+        shared = LayoutReorganizer(tm)
         batch_a = mirrored.sample_all_agents(np.random.default_rng(9), 8)
         batch_t = shared.sample_all_agents(np.random.default_rng(9), 8)
         assert_bytes_equal(batch_a.indices, batch_t.indices)

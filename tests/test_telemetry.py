@@ -38,7 +38,7 @@ class TestRecordRoundTrip:
         records = [
             RunManifest.capture(seed=7, config={"batch_size": 32}, label="t"),
             SpanEvent(name="update_all_trainers.sampling", seconds=0.25),
-            CounterSample(name="prefetch.hit", value=3.0, unit="rounds"),
+            CounterSample(name="serve.shed", value=3.0, unit="requests"),
             SeriesPoint(series="episode_reward", step=4, value=-1.5),
         ]
         for record in records:
@@ -130,11 +130,14 @@ class TestPhaseTimerAdapter:
         timer = PhaseTimer()
         rec = memory_recorder()
         timer.attach_telemetry(rec)
-        timer.add("prefetch.hit", 0.5, count=1)
+        timer.add("env_step.worker_wait", 0.5, count=1)
         counters = rec.sink.of_kind("counter")
         assert counters == [
             CounterSample(
-                name="prefetch.hit", value=0.5, unit="s", at_unix=counters[0].at_unix
+                name="env_step.worker_wait",
+                value=0.5,
+                unit="s",
+                at_unix=counters[0].at_unix,
             )
         ]
 
@@ -208,7 +211,7 @@ class TestBenchHarness:
     def _report(self, metrics):
         from repro import bench
 
-        spec = bench.spec_by_name("sampling_fastpath")
+        spec = bench.spec_by_name("telemetry_overhead")
         return {
             "schema_version": bench.BENCH_SCHEMA_VERSION,
             "suite": "smoke",
@@ -233,40 +236,40 @@ class TestBenchHarness:
     def test_compare_passes_identical_reports(self):
         from repro import bench
 
-        base = self._report({"equivalent": 1.0, "uniform_speedup": 2.0})
+        base = self._report({"spans_emitted_ok": 1.0, "enabled_overhead_ratio": 2.0})
         assert bench.compare_reports(base, base) == []
 
     def test_compare_flags_exact_gate_regression(self):
         from repro import bench
 
-        base = self._report({"equivalent": 1.0, "uniform_speedup": 2.0})
-        cur = self._report({"equivalent": 0.0, "uniform_speedup": 2.0})
+        base = self._report({"spans_emitted_ok": 1.0, "enabled_overhead_ratio": 2.0})
+        cur = self._report({"spans_emitted_ok": 0.0, "enabled_overhead_ratio": 2.0})
         violations = bench.compare_reports(cur, base)
-        assert violations and "equivalent" in violations[0]
+        assert violations and "spans_emitted_ok" in violations[0]
 
     def test_compare_tolerates_band_and_flags_beyond_it(self):
         from repro import bench
 
-        # info_prioritized_speedup is ratio-gated (tolerance 0.8):
-        # anything above 20% of baseline passes, below regresses
-        base = self._report({"equivalent": 1.0, "info_prioritized_speedup": 10.0})
-        within = self._report({"equivalent": 1.0, "info_prioritized_speedup": 9.0})
+        # disabled_overhead_ratio is band-gated (lower is better,
+        # tolerance 1.0): anything up to 2x the baseline passes
+        base = self._report({"spans_emitted_ok": 1.0, "disabled_overhead_ratio": 1.0})
+        within = self._report({"spans_emitted_ok": 1.0, "disabled_overhead_ratio": 1.9})
         assert bench.compare_reports(within, base) == []
-        beyond = self._report({"equivalent": 1.0, "info_prioritized_speedup": 0.5})
+        beyond = self._report({"spans_emitted_ok": 1.0, "disabled_overhead_ratio": 2.5})
         violations = bench.compare_reports(beyond, base)
-        assert violations and "info_prioritized_speedup" in violations[0]
+        assert violations and "disabled_overhead_ratio" in violations[0]
 
     def test_ungated_metric_never_gates(self):
         from repro import bench
 
-        base = self._report({"equivalent": 1.0, "uniform_speedup": 10.0})
-        cur = self._report({"equivalent": 1.0, "uniform_speedup": 0.01})
+        base = self._report({"spans_emitted_ok": 1.0, "enabled_overhead_ratio": 1.0})
+        cur = self._report({"spans_emitted_ok": 1.0, "enabled_overhead_ratio": 100.0})
         assert bench.compare_reports(cur, base) == []
 
     def test_compare_flags_missing_bench(self):
         from repro import bench
 
-        base = self._report({"equivalent": 1.0})
+        base = self._report({"spans_emitted_ok": 1.0})
         cur = dict(base, results=[])
         violations = bench.compare_reports(cur, base)
         assert violations and "missing" in violations[0]

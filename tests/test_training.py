@@ -70,11 +70,6 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(env, trainer, episodes=0)
 
-    def test_layout_variant_records_cost_extras(self):
-        env, trainer = small_setup(variant="layout")
-        result = train(env, trainer, episodes=6, variant="layout")
-        assert "reshape_floats" in result.extra
-
     def test_deterministic_given_seed(self):
         r1 = train(*small_setup(seed=3), episodes=3)
         r2 = train(*small_setup(seed=3), episodes=3)
