@@ -3,8 +3,8 @@
 The stacked engine (``batched_update=True``) folds the N per-agent
 update loops of ``update_all_trainers`` into stacked (N, B, dim) numpy
 ops: the O(N^2) per-pair target-actor forwards collapse to N stacked
-forwards (deduplicated across overlapping index sets), and critic/actor
-gradient steps for all agents run as one batched pass each.  The rounds
+forwards, and critic/actor gradient steps for all agents run as one
+batched pass each.  The rounds
 are numerically equivalent to the scalar loop under the shared RNG
 stream (property-tested in ``tests/test_batched_update.py``).
 

@@ -12,7 +12,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..nn import Adam, Sequential, actor_mlp, critic_mlp, gumbel_softmax, one_hot, softmax
+from ..nn import Adam, Sequential, actor_mlp, critic_mlp, gumbel_softmax, softmax
 from .config import MARLConfig
 
 __all__ = ["ActorCriticAgent"]
@@ -97,16 +97,6 @@ class ActorCriticAgent:
             action = softmax(logits)
         return action[0] if single else action
 
-    def act_discrete(
-        self,
-        obs: np.ndarray,
-        rng: Optional[np.random.Generator] = None,
-        explore: bool = True,
-    ) -> int:
-        """Greedy/sampled integer action for evaluation-time stepping."""
-        probs = self.act(obs, rng=rng, explore=explore)
-        return int(np.argmax(probs))
-
     def target_act(
         self,
         next_obs: np.ndarray,
@@ -129,13 +119,6 @@ class ActorCriticAgent:
             )
             logits = logits + eps
         return softmax(logits)
-
-    def greedy_one_hot(self, obs: np.ndarray) -> np.ndarray:
-        """Hard one-hot greedy action(s); convenience for tests/eval."""
-        probs = self.act(obs, explore=False)
-        idx = np.atleast_2d(probs).argmax(axis=-1)
-        out = one_hot(idx, self.act_dim)
-        return out[0] if np.asarray(obs).ndim == 1 else out
 
     # -- target maintenance --------------------------------------------------------
 

@@ -12,8 +12,7 @@ becomes a handful of batched ``np.matmul`` calls —
 
 * the N² per-pair target-actor forwards collapse to N stacked
   ``(N, B, obs)`` forwards — one per drawing agent's mini-batch, each
-  covering all N target actors at once — and to a **single** stacked
-  forward when the round serves a shared mini-batch to every agent;
+  covering all N target actors at once;
 * the N critic TD regressions run as one stacked forward/backward and
   one stacked Adam step (twin critics for MATD3);
 * the N Gumbel-Softmax policy-gradient updates run as one stacked
@@ -73,14 +72,19 @@ class BatchedUpdateEngine:
     update with no synchronization beyond the Adam step counters.
     """
 
-    def __init__(self, trainer, backend=None) -> None:
-        if len(set(trainer.obs_dims)) != 1 or len(set(trainer.act_dims)) != 1:
+    @staticmethod
+    def check_homogeneous(obs_dims, act_dims) -> None:
+        """Raise ``ValueError`` unless every agent has the same widths."""
+        if len(set(obs_dims)) != 1 or len(set(act_dims)) != 1:
             raise ValueError(
                 "batched_update requires homogeneous agents (equal obs/act "
-                f"widths); got obs_dims={trainer.obs_dims}, "
-                f"act_dims={trainer.act_dims}. Use the scalar per-agent loop "
+                f"widths); got obs_dims={list(obs_dims)}, "
+                f"act_dims={list(act_dims)}. Use the scalar per-agent loop "
                 "for heterogeneous teams."
             )
+
+    def __init__(self, trainer, backend=None) -> None:
+        self.check_homogeneous(trainer.obs_dims, trainer.act_dims)
         self.trainer = trainer
         self.num_agents = trainer.num_agents
         self.obs_dim = trainer.obs_dims[0]
@@ -193,16 +197,15 @@ class BatchedUpdateEngine:
         noises: List[Optional[np.ndarray]] = []
         for i in range(n):
             with timer.phase(SAMPLING):
-                batch = trainer._sample_for(i)
+                batch = trainer._draw_batch(i)
             with timer.phase(TARGET_Q):
-                noises.append(self._draw_target_noise(batch, batches, noises))
+                noises.append(self._draw_target_noise(batch))
             batches.append(batch)
-        shared = all(b is batches[0] for b in batches)
 
         with timer.phase(TARGET_Q):
-            target_q = self._batched_target_q(batches, noises, shared)
+            target_q = self._batched_target_q(batches, noises)
         with timer.phase(LOSS_UPDATE):
-            critic_x = self._joint_inputs(batches, shared)
+            critic_x = self._joint_inputs(batches)
             q_losses, tds = self._critic_step(critic_x, target_q, batches)
             if policy_due:
                 p_losses = self._actor_step(critic_x, batches)
@@ -224,26 +227,16 @@ class BatchedUpdateEngine:
 
     # -- target-Q phase -----------------------------------------------------------------
 
-    def _draw_target_noise(
-        self,
-        batch: MiniBatch,
-        prior_batches: List[MiniBatch],
-        prior_noises: List[Optional[np.ndarray]],
-    ) -> Optional[np.ndarray]:
+    def _draw_target_noise(self, batch: MiniBatch) -> Optional[np.ndarray]:
         """Target-policy smoothing noise for one drawing agent's round.
 
         Mirrors the scalar path exactly: one ``rng.normal`` draw per
-        target actor in agent order, and — like the scalar target-action
-        cache — no fresh draw when the same mini-batch object was already
-        served to an earlier drawing agent this round.
+        target actor in agent order.
         """
         trainer = self.trainer
         noise = trainer.config.target_noise if trainer.target_policy_smoothing else 0.0
         if noise <= 0.0:
             return None
-        for j, prev in enumerate(prior_batches):
-            if prev is batch:
-                return prior_noises[j]
         clip = trainer.config.target_noise_clip
         eps = np.empty((self.num_agents, batch.size, self.act_dim))
         for k in range(self.num_agents):
@@ -256,48 +249,27 @@ class BatchedUpdateEngine:
         self,
         batches: List[MiniBatch],
         noises: List[Optional[np.ndarray]],
-        shared: bool,
     ) -> np.ndarray:
         """TD targets for every drawing agent: ``(N, B, 1)``.
 
         The N² scalar ``target_act`` calls become N stacked forwards
         (network axis = acting agent k, batch axis = drawing agent i's
-        rows) — or one forward over the deduplicated row set when the
-        drawing agents' index sets overlap, or a single shared-block
-        forward when one mini-batch serves every agent.
+        rows).
         """
         trainer = self.trainer
         n = self.num_agents
-        rounds = batches[:1] if shared else batches
-        acts_per_round = self._stacked_target_actions(rounds, noises)
-        if shared:
-            b = rounds[0]
-            acts = acts_per_round[0]
-            row = np.concatenate(
-                [ab.next_obs for ab in b.agents] + [acts[k] for k in range(n)],
+        joint_next = np.empty((n, batches[0].size, trainer.joint_dim))
+        for i, b in enumerate(batches):
+            acts = self._stacked_target_actions(b, noises[i])
+            np.concatenate(
+                [ab.next_obs for ab in b.agents] + list(acts),
                 axis=1,
+                out=joint_next[i],
             )
-            joint_next = np.broadcast_to(row, (n,) + row.shape)
-        else:
-            joint_dim = sum(trainer.obs_dims) + sum(trainer.act_dims)
-            joint_next = np.empty((n, batches[0].size, joint_dim))
-            for r, b in enumerate(rounds):
-                acts = acts_per_round[r]
-                np.concatenate(
-                    [ab.next_obs for ab in b.agents]
-                    + [acts[k] for k in range(n)],
-                    axis=1,
-                    out=joint_next[r],
-                )
 
         rew = np.stack([b.agents[i].rew for i, b in enumerate(batches)])
         done = np.stack([b.agents[i].done for i, b in enumerate(batches)])
         if self._k is not None:
-            # the shared-batch broadcast view is materialized once here —
-            # kernel GEMMs need C-contiguous slices (documented trade-off
-            # against the numpy path's zero-copy broadcast)
-            if not joint_next.flags.c_contiguous:
-                joint_next = np.ascontiguousarray(joint_next)
             q_next = self._infer_kernel("target_critics", joint_next)
             if self.twin:
                 q_next = np.minimum(
@@ -312,11 +284,8 @@ class BatchedUpdateEngine:
             + trainer.config.gamma * (1.0 - done[:, :, None]) * q_next
         )
 
-    #: dedup the target-actor forward only when the unique row set is at
-    #: least this much smaller than the raw concatenation
-    _DEDUP_RATIO = 0.8
-    #: row-block size for the chunked stacked forward (keeps the
-    #: (N, block, hidden) activations cache-resident)
+    #: row-block size for the kernel path's stacked inference forward
+    #: (keeps the (N, block, hidden) activations cache-resident)
     _FORWARD_BLOCK = 2048
     #: agent-group size for the gradient passes: forward/backward run
     #: over groups of this many stacks so the (G, B, width) activations
@@ -325,82 +294,18 @@ class BatchedUpdateEngine:
     _AGENT_GROUP = 3
 
     def _stacked_target_actions(
-        self,
-        rounds: List[MiniBatch],
-        noises: List[Optional[np.ndarray]],
-    ) -> List[np.ndarray]:
-        """Per-round stacked target actions ``(N_k, B, act)``.
-
-        Drawing agents sample from the same replay, so their index sets
-        overlap; a target action depends only on (actor k, buffer row),
-        not on which agent drew the row.  When the overlap is large
-        enough the forwards run once per *unique* row and the per-round
-        results are gathered back — cross-agent reuse of target
-        computations (GEMM rows are computed independently, so the
-        gathered results are identical to the per-round forwards).
-        MATD3's smoothing noise is drawn per (drawing agent, actor,
-        row-position), so with noise the dedup stops at the logits and
-        noise + softmax are applied per round.
-        """
-        n = self.num_agents
-        if len(rounds) > 1:
-            flat = np.concatenate([b.indices for b in rounds])
-            uniq, first, inv = np.unique(
-                flat, return_index=True, return_inverse=True
-            )
-            if uniq.shape[0] <= self._DEDUP_RATIO * flat.shape[0]:
-                x = np.empty((n, uniq.shape[0], self.obs_dim))
-                for k in range(n):
-                    rows = np.concatenate([b.agents[k].next_obs for b in rounds])
-                    x[k] = rows[first]
-                if self._k is not None:
-                    logits_u = self._infer_kernel("target_actors", x)
-                else:
-                    logits_u = self._forward_chunked(self.target_actors, x)
-                size = rounds[0].size
-                if all(nz is None for nz in noises):
-                    acts_u = softmax(logits_u)
-                    return [
-                        acts_u[:, inv[r * size : (r + 1) * size]]
-                        for r in range(len(rounds))
-                    ]
-                return [
-                    softmax(
-                        logits_u[:, inv[r * size : (r + 1) * size]] + noises[r]
-                    )
-                    for r in range(len(rounds))
-                ]
-        out = []
-        for r, b in enumerate(rounds):
-            x = np.stack([b.agents[k].next_obs for k in range(n)])
-            if self._k is not None:
-                logits = self._infer_kernel("target_actors", x)
-            else:
-                logits = self.target_actors(x)
-            if noises[r] is not None:
-                logits = logits + noises[r]
-            out.append(softmax(logits))
-        return out
-
-    def _forward_chunked(self, net, x: np.ndarray) -> np.ndarray:
-        """Stacked forward in row blocks.
-
-        Bit-identical to one ``net(x)`` call (GEMM rows are independent)
-        but bounds the intermediate activations to ``(N, block, hidden)``
-        so they stay cache-resident instead of streaming multi-hundred-MB
-        temporaries through memory.
-        """
-        block = self._FORWARD_BLOCK
-        total = x.shape[1]
-        if total <= block:
-            return net(x)
-        out: Optional[np.ndarray] = None
-        for s in range(0, total, block):
-            part = net(x[:, s : s + block])
-            if out is None:
-                out = np.empty((x.shape[0], total, part.shape[2]))
-            out[:, s : s + part.shape[1]] = part
-        return out
+        self, batch: MiniBatch, noise: Optional[np.ndarray]
+    ) -> np.ndarray:
+        """One drawing agent's stacked target actions ``(N_k, B, act)``;
+        MATD3's smoothing ``noise`` is added to the logits."""
+        x = np.stack([ab.next_obs for ab in batch.agents])
+        if self._k is not None:
+            logits = self._infer_kernel("target_actors", x)
+        else:
+            logits = self.target_actors(x)
+        if noise is not None:
+            logits = logits + noise
+        return softmax(logits)
 
     # -- compiled-backend dispatch ------------------------------------------------------
 
@@ -416,9 +321,9 @@ class BatchedUpdateEngine:
     def _infer_kernel(self, key: str, x: np.ndarray) -> np.ndarray:
         """Fused inference forward through net ``key`` in row blocks.
 
-        The kernel-path counterpart of :meth:`_forward_chunked`: same
-        block size, same cache-residency rationale; each block is copied
-        to C-contiguous storage because the fused GEMM requires it.
+        Blocks bound the intermediate activations to ``(N, block,
+        hidden)`` so they stay cache-resident; each block is copied to
+        C-contiguous storage because the fused GEMM requires it.
         """
         params = self._kernel_values(key)
         block = self._FORWARD_BLOCK
@@ -475,20 +380,17 @@ class BatchedUpdateEngine:
         n = self.num_agents
         k = self._k
         self.critic_optimizer.zero_grad()
-        x = (
-            critic_x
-            if critic_x.flags.c_contiguous
-            else np.ascontiguousarray(critic_x)
-        )
-        h0, h1, q = k.mlp3_forward(x, *self._kernel_values("critics"))
+        h0, h1, q = k.mlp3_forward(critic_x, *self._kernel_values("critics"))
         losses, grad = self._kernel_slice_loss(q, target_q, batches)
         if self.twin:
-            h0b, h1b, q2 = k.mlp3_forward(x, *self._kernel_values("critics2"))
+            h0b, h1b, q2 = k.mlp3_forward(
+                critic_x, *self._kernel_values("critics2")
+            )
             losses2, grad2 = self._kernel_slice_loss(q2, target_q, batches)
             losses = [l1 + l2 for l1, l2 in zip(losses, losses2)]
-        self._backward_kernel("critics", x, h0, h1, grad)
+        self._backward_kernel("critics", critic_x, h0, h1, grad)
         if self.twin:
-            self._backward_kernel("critics2", x, h0b, h1b, grad2)
+            self._backward_kernel("critics2", critic_x, h0b, h1b, grad2)
         tds = [(q[i] - target_q[i]).ravel() for i in range(n)]
         if config.grad_clip is not None:
             clip_grad_norm_stacked(self._critic_param_group, config.grad_clip)
@@ -506,21 +408,17 @@ class BatchedUpdateEngine:
         k = self._k
 
         obs = np.stack([batches[i].agents[i].obs for i in range(n)])
-        x = (
-            critic_x
-            if critic_x.flags.writeable and critic_x.flags.c_contiguous
-            else np.ascontiguousarray(critic_x)
-        )
 
         self.actor_optimizer.zero_grad()
         ah0, ah1, logits = k.mlp3_forward(obs, *self._kernel_values("actors"))
         soft_action = k.softmax_temp(logits, config.gumbel_temperature)
+        # the stacked joint input has no later reader: patch it in place
         for i in range(n):
             start = trainer._act_offsets[i]
-            x[i, :, start : start + self.act_dim] = soft_action[i]
+            critic_x[i, :, start : start + self.act_dim] = soft_action[i]
 
         cp = self._kernel_values("critics")
-        ch0, ch1, q = k.mlp3_forward(x, *cp)
+        ch0, ch1, q = k.mlp3_forward(critic_x, *cp)
         p_losses = [
             float(-np.mean(q[i]))
             + config.policy_reg * float(np.mean(logits[i] ** 2))
@@ -548,19 +446,13 @@ class BatchedUpdateEngine:
 
     # -- loss/update phase ------------------------------------------------------------
 
-    def _joint_inputs(self, batches: List[MiniBatch], shared: bool) -> np.ndarray:
-        """Stacked critic inputs ``(N, B, joint)``; a broadcast view when
-        one shared mini-batch serves every drawing agent."""
-        if shared:
-            x = self.trainer._critic_input(batches[0])
-            return np.broadcast_to(x, (self.num_agents,) + x.shape)
-        first = self.trainer._critic_input(batches[0])
-        out = np.empty((self.num_agents,) + first.shape)
-        out[0] = first
-        for i in range(1, self.num_agents):
-            blocks = [ab.obs for ab in batches[i].agents] + [
-                ab.act for ab in batches[i].agents
-            ]
+    def _joint_inputs(self, batches: List[MiniBatch]) -> np.ndarray:
+        """Stacked critic inputs ``(N, B, joint)``."""
+        out = np.empty(
+            (self.num_agents, batches[0].size, self.trainer.joint_dim)
+        )
+        for i, b in enumerate(batches):
+            blocks = [ab.obs for ab in b.agents] + [ab.act for ab in b.agents]
             np.concatenate(blocks, axis=1, out=out[i])
         return out
 
@@ -641,11 +533,6 @@ class BatchedUpdateEngine:
         batch_size = batches[0].size
 
         obs = np.stack([batches[i].agents[i].obs for i in range(n)])
-        # patch each drawing agent's own action columns; the stacked
-        # joint input has no later reader, so patch it in place when it
-        # is a materialized array (the shared-batch broadcast view is
-        # read-only and must be copied out)
-        x = critic_x if critic_x.flags.writeable else np.array(critic_x)
 
         p_losses: List[float] = [0.0] * n
         self.actor_optimizer.zero_grad()
@@ -654,11 +541,13 @@ class BatchedUpdateEngine:
             shifted = logits - logits.max(axis=2, keepdims=True)
             exp = np.exp(shifted / config.gumbel_temperature)
             soft_action = exp / exp.sum(axis=2, keepdims=True)
+            # patch each drawing agent's own action columns; the stacked
+            # joint input has no later reader, so patch it in place
             for j, i in enumerate(range(sl.start, sl.stop)):
                 start = trainer._act_offsets[i]
-                x[i, :, start : start + self.act_dim] = soft_action[j]
+                critic_x[i, :, start : start + self.act_dim] = soft_action[j]
 
-            q = self._forward_group(self.critics, x[sl], sl)
+            q = self._forward_group(self.critics, critic_x[sl], sl)
             for j, i in enumerate(range(sl.start, sl.stop)):
                 p_losses[i] = float(-np.mean(q[j])) + config.policy_reg * float(
                     np.mean(logits[j] ** 2)

@@ -46,11 +46,6 @@ class MARLConfig:
     # (N, ., .) tensor ops over all homogeneous agents at once; False
     # preserves the characterized per-agent loop
     batched_update: bool = False
-    # draw one mini-batch per update round and serve it to every drawing
-    # agent (enables the round-level target-action cache: O(N) instead of
-    # O(N^2) target-actor forwards on the scalar path too).  Changes RNG
-    # consumption (one draw per round instead of N), so it is opt-in.
-    shared_batch: bool = False
     # execution pipeline: rollout worker processes stepping env copies
     # over shared memory (0 or 1 = the serial SyncVectorEnv engine,
     # preserving the bit-identity contract)

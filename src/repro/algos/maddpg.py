@@ -131,8 +131,7 @@ class MADDPGTrainer:
         for a in act_dims:
             self._act_offsets.append(offset)
             offset += a
-        # round-scoped caches: shared mini-batch + per-batch derived values
-        self._shared_round_batch: Optional[MiniBatch] = None
+        # round-scoped cache of per-batch derived values
         self._round_cache: Dict[int, Tuple[MiniBatch, Dict[str, Any]]] = {}
         self.batched_update = self.config.batched_update
         self.backend = get_backend(self.config.backend)
@@ -193,23 +192,6 @@ class MADDPGTrainer:
         self.total_env_steps += rows
         return rows
 
-    def experience_packed(self, rows: np.ndarray) -> int:
-        """Store K joint transitions given as packed joint-schema rows.
-
-        ``rows`` is ``(K, joint_width)`` in the replay arena's
-        :class:`~repro.buffers.transition.JointSchema` layout — exactly
-        what :meth:`~repro.envs.parallel.ParallelVectorEnv.packed_transitions`
-        exposes over shared memory, so with timestep-major storage the
-        workers' writes flow into the replay ring without per-field
-        splitting.  Buffer contents and cadence counters end up identical
-        to the equivalent :meth:`experience_batch` call.  Returns K.
-        """
-        with self.timer.phase(BUFFER_WRITE):
-            rows_written = self.replay.ingest(packed_rows=rows)
-        self.steps_since_update += rows_written
-        self.total_env_steps += rows_written
-        return rows_written
-
     def attach_telemetry(self, recorder) -> None:
         """Stream this trainer's instrumentation as typed telemetry records.
 
@@ -222,7 +204,6 @@ class MADDPGTrainer:
         """
         self.telemetry = recorder if recorder is not None else NULL_RECORDER
         self.timer.attach_telemetry(recorder)
-        self.replay.attach_telemetry(recorder)
 
     def should_update(self) -> bool:
         """Paper cadence: update after every ``update_every`` samples, once
@@ -261,7 +242,6 @@ class MADDPGTrainer:
         self.steps_since_update = 0
         policy_due = self._policy_update_due()
         self.sampler.set_beta(self.beta_schedule.step())
-        self._shared_round_batch = None
         self._round_cache = {}
         return policy_due
 
@@ -287,8 +267,8 @@ class MADDPGTrainer:
         """The paper's characterized per-agent update loop.
 
         With an injected ``batch`` every agent in ``agents`` trains on
-        it (the ``shared_batch`` regime: the joint ``[obs‖act]`` critic
-        input is built once) and the sampling phase and the priority
+        it (the joint ``[obs‖act]`` critic input and the target actions
+        are built once) and the sampling phase and the priority
         write-back — both properties of the local replay — are skipped.
         Cross-partition coupling rides on the parameter store: the TD
         target for agent ``i`` consumes every agent's target actor.
@@ -299,7 +279,7 @@ class MADDPGTrainer:
         for i in owned:
             if not injected:
                 with self.timer.phase(SAMPLING):
-                    batch = self._sample_for(i)
+                    batch = self._draw_batch(i)
             with self.timer.phase(TARGET_Q):
                 target_q = self._target_q(i, batch)
             with self.timer.phase(LOSS_UPDATE):
@@ -329,13 +309,6 @@ class MADDPGTrainer:
 
     # -- update internals --------------------------------------------------------------
 
-    def _sample_for(self, agent_idx: int) -> MiniBatch:
-        if self.config.shared_batch:
-            if self._shared_round_batch is None:
-                self._shared_round_batch = self._draw_batch(agent_idx)
-            return self._shared_round_batch
-        return self._draw_batch(agent_idx)
-
     def _draw_batch(self, agent_idx: int) -> MiniBatch:
         return self.sampler.sample(
             self.replay, self.rng, self.config.batch_size, agent_idx=agent_idx
@@ -363,10 +336,9 @@ class MADDPGTrainer:
     def _target_actions_cached(self, batch: MiniBatch) -> List[np.ndarray]:
         """Round-scoped cache of :meth:`_target_actions`.
 
-        When every drawing agent is served the same shared mini-batch
-        (``config.shared_batch``), the N target-actor forwards run once
-        per round instead of once per drawing agent — the scalar-path
-        analogue of the batched engine's O(N²) → O(N) cut.
+        When one injected mini-batch serves every owned agent
+        (:meth:`_injected_round`), the N target-actor forwards run once
+        per round instead of once per drawing agent.
         """
         memo = self._round_cache_entry(batch)
         if "target_actions" not in memo:

@@ -37,9 +37,8 @@ from .transition import FLOAT_BYTES, JointSchema, TransitionSchema
 def make_replay(
     config=None,
     *,
-    obs_dims: Optional[Sequence[int]] = None,
-    act_dims: Optional[Sequence[int]] = None,
-    schema: Optional[JointSchema] = None,
+    obs_dims: Sequence[int],
+    act_dims: Sequence[int],
     capacity: Optional[int] = None,
     prioritized: bool = False,
     alpha: Optional[float] = None,
@@ -47,25 +46,16 @@ def make_replay(
 ) -> MultiAgentReplay:
     """Construct a :class:`MultiAgentReplay` from config + explicit options.
 
-    The redesigned construction entry point: dimensions come from either
-    a :class:`JointSchema` (``schema=``) or explicit ``obs_dims`` /
-    ``act_dims`` — exactly one spelling.  A
+    The construction entry point.  A
     :class:`~repro.algos.config.MARLConfig` (``config=``, optional)
     supplies defaults for ``capacity`` (``buffer_capacity``), ``alpha``
     (``per_alpha``), and ``storage``; every keyword overrides its config
     field.  With no config, defaults match ``MultiAgentReplay``'s own
     (capacity 1e6, alpha 0.6, agent-major storage).
 
-    >>> replay = make_replay(config, schema=vec_env.schema, storage="timestep_major")
+    >>> replay = make_replay(config, obs_dims=[8, 8], act_dims=[5, 5])
     >>> replay = make_replay(obs_dims=[8, 8], act_dims=[5, 5], prioritized=True)
     """
-    if (schema is None) == (obs_dims is None and act_dims is None):
-        raise ValueError("pass exactly one of schema= or obs_dims=/act_dims=")
-    if schema is not None:
-        obs_dims = [s.obs_dim for s in schema.agents]
-        act_dims = [s.act_dim for s in schema.agents]
-    elif obs_dims is None or act_dims is None:
-        raise ValueError("obs_dims and act_dims must be given together")
     if capacity is None:
         capacity = config.buffer_capacity if config is not None else 1_000_000
     if alpha is None:

@@ -231,28 +231,6 @@ class TransitionArena:
             pos = stop
         return out
 
-    # -- splitting ---------------------------------------------------------------
-
-    def unpack_agent(self, rows: np.ndarray, agent_idx: int) -> AgentBatchFields:
-        """Split packed rows back into one agent's batch fields."""
-        if not 0 <= agent_idx < self.num_agents:
-            raise IndexError(f"agent index {agent_idx} out of range")
-        start, end = self.schema.agent_offsets()[agent_idx]
-        block = rows[:, start:end]
-        s = self.schema.agents[agent_idx].slices()
-        return (
-            block[:, s["obs"]],
-            block[:, s["act"]],
-            block[:, s["rew"]].ravel(),
-            block[:, s["next_obs"]],
-            block[:, s["done"]].ravel(),
-        )
-
-    def split_rows(self, rows: np.ndarray) -> List[AgentBatchFields]:
-        """Every agent's batch fields cut out of already-gathered rows."""
-        with self._phase(AGENT_SPLIT):
-            return [self.unpack_agent(rows, a) for a in range(self.num_agents)]
-
     def gather_fields(
         self,
         indices: Optional[Sequence[int]] = None,
@@ -270,4 +248,5 @@ class TransitionArena:
         """
         with self._phase(JOINT_GATHER):
             rows = self.gather_joint(indices, runs=runs, vectorized=vectorized)
-        return self.split_rows(rows)
+        with self._phase(AGENT_SPLIT):
+            return self.schema.split_batch(rows)

@@ -79,16 +79,6 @@ class MultiAgentReplay:
                 )
             else:
                 self.buffers.append(ReplayBuffer(capacity, o, a, backend=backend))
-        #: times ingest(packed_rows=) degraded to the split-and-copy path
-        self.packed_fallbacks = 0
-        self._telemetry = None
-        self._fallback_reported = False
-
-    def attach_telemetry(self, recorder) -> None:
-        """Report packed-ingest degradations as typed counter records."""
-        if recorder is not None and not recorder.enabled:
-            recorder = None
-        self._telemetry = recorder
 
     @property
     def num_agents(self) -> int:
@@ -138,13 +128,13 @@ class MultiAgentReplay:
             would.
         ``packed_rows``
             ``(K, schema.width)`` packed joint-schema rows (every
-            agent's transition back to back — the layout
-            :meth:`~repro.envs.parallel.ParallelVectorEnv.packed_transitions`
-            exposes and the timestep-major arena stores).  With an arena
-            backend (non-prioritized) the rows land in the ring with one
-            fancy-index write and no per-field splitting; other
-            configurations split the rows by schema offsets and take the
-            ``batch`` path.
+            agent's transition back to back — what
+            :meth:`~repro.buffers.transition.JointSchema.pack_batch`
+            builds and the timestep-major arena stores).  The replay
+            shard server's ring write: the rows land in the arena with
+            one fancy-index write and no per-field splitting.  Only a
+            non-prioritized timestep-major replay takes it (PER needs
+            the per-row tree bookkeeping of the ``batch`` path).
 
         End state is identical to K :meth:`add` calls either way.
         """
@@ -177,6 +167,13 @@ class MultiAgentReplay:
 
     def _ingest_packed(self, rows: np.ndarray) -> int:
         """Packed-row arm of :meth:`ingest`."""
+        if self.arena is None or self.prioritized:
+            raise ValueError(
+                "ingest(packed_rows=) needs a non-prioritized timestep_major "
+                f"replay (storage={self.storage!r}, "
+                f"prioritized={self.prioritized}); pass the per-agent "
+                "fields as batch= instead"
+            )
         rows = np.asarray(rows, dtype=np.float64)
         if rows.ndim != 2 or rows.shape[1] != self.schema.width:
             raise ValueError(
@@ -186,36 +183,16 @@ class MultiAgentReplay:
         k = rows.shape[0]
         if k == 0:
             raise ValueError("ingest requires at least one row")
-        if self.arena is not None and not self.prioritized:
-            # direct packed-row ring write; advance the per-agent
-            # front-end cursors in lock-step (they alias these columns)
-            first = max(0, k - self.capacity)
-            idx = (self.arena.next_index + np.arange(first, k)) % self.capacity
-            self.arena.values[idx] = rows[first:]
-            for buf in self.buffers:
-                buf._next_idx = (buf._next_idx + k) % self.capacity
-                buf._size = min(buf._size + k, self.capacity)
-            self.arena.advance(k)
-            return k
-        # prioritized / agent-major configs cannot take the direct ring
-        # write: the rows are split by schema offsets and re-copied per
-        # field.  The degradation is counted (and reported once) instead
-        # of happening invisibly.
-        self.packed_fallbacks += 1
-        if self._telemetry is not None and not self._fallback_reported:
-            self._fallback_reported = True
-            reason = "prioritized" if self.prioritized else self.storage
-            self._telemetry.counter("ingest.packed_fallback", 1.0, unit=reason)
-        obs, act, rew, next_obs, done = [], [], [], [], []
-        for a, (start, end) in enumerate(self.schema.agent_offsets()):
-            block = rows[:, start:end]
-            s = self.schema.agents[a].slices()
-            obs.append(block[:, s["obs"]])
-            act.append(block[:, s["act"]])
-            rew.append(block[:, s["rew"]].ravel())
-            next_obs.append(block[:, s["next_obs"]])
-            done.append(block[:, s["done"]].ravel())
-        return self.ingest((obs, act, rew, next_obs, done))
+        # direct packed-row ring write; advance the per-agent
+        # front-end cursors in lock-step (they alias these columns)
+        first = max(0, k - self.capacity)
+        idx = (self.arena.next_index + np.arange(first, k)) % self.capacity
+        self.arena.values[idx] = rows[first:]
+        for buf in self.buffers:
+            buf._next_idx = (buf._next_idx + k) % self.capacity
+            buf._size = min(buf._size + k, self.capacity)
+        self.arena.advance(k)
+        return k
 
     def clear(self) -> None:
         for buf in self.buffers:
@@ -235,16 +212,6 @@ class MultiAgentReplay:
             buf._next_idx = int(next_idx)
         if self.arena is not None:
             self.arena.set_cursor(size, next_idx)
-
-    def sample_indices(
-        self, rng: np.random.Generator, batch_size: int
-    ) -> np.ndarray:
-        """Common uniform indices array shared by all agents (Figure 5)."""
-        return self.buffers[0].sample_indices(rng, batch_size)
-
-    def can_sample(self, batch_size: int) -> bool:
-        """True once enough joint timesteps exist for one mini-batch."""
-        return len(self) >= max(batch_size, 1)
 
     def gather(
         self,

@@ -346,13 +346,3 @@ class ReplayBuffer:
                 done[pos:stop] = d
             pos = stop
         return (obs, act, rew, next_obs, done)
-
-    def sample_indices(
-        self, rng: np.random.Generator, batch_size: int
-    ) -> np.ndarray:
-        """Uniform random indices over the valid region (baseline sampler)."""
-        if batch_size <= 0:
-            raise ValueError(f"batch_size must be positive, got {batch_size}")
-        if self._size == 0:
-            raise ValueError("cannot sample from an empty buffer")
-        return rng.integers(0, self._size, size=batch_size)

@@ -57,35 +57,6 @@ class TransitionSchema:
             "done": slice(o + a + 1 + o, o + a + 2 + o),
         }
 
-    def pack(
-        self,
-        obs: np.ndarray,
-        act: np.ndarray,
-        rew: float,
-        next_obs: np.ndarray,
-        done: bool,
-    ) -> np.ndarray:
-        """Flatten one transition into a width-sized float row."""
-        row = np.empty(self.width, dtype=np.float64)
-        s = self.slices()
-        row[s["obs"]] = obs
-        row[s["act"]] = act
-        row[s["rew"]] = rew
-        row[s["next_obs"]] = next_obs
-        row[s["done"]] = float(done)
-        return row
-
-    def unpack(self, row: np.ndarray) -> Tuple[np.ndarray, np.ndarray, float, np.ndarray, bool]:
-        """Inverse of :meth:`pack` for a single row."""
-        s = self.slices()
-        return (
-            row[s["obs"]],
-            row[s["act"]],
-            float(row[s["rew"]][0]),
-            row[s["next_obs"]],
-            bool(row[s["done"]][0] > 0.5),
-        )
-
 
 @dataclass(frozen=True)
 class JointSchema:
@@ -162,9 +133,9 @@ class JointSchema:
     ) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
         """Inverse of :meth:`pack_batch`: per-agent (obs, act, rew, next_obs, done).
 
-        Mirrors :meth:`~repro.buffers.arena.TransitionArena.split_rows`
-        but needs no arena instance — pull clients split service rows
-        with only the schema in hand.
+        The one splitter of packed rows: the arena's joint gathers and
+        the replay service's pull clients both cut their rows here.  The
+        fields are column views of ``rows``.
         """
         rows = np.asarray(rows, dtype=np.float64)
         if rows.ndim != 2 or rows.shape[1] != self.width:

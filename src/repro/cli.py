@@ -37,6 +37,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from .algos.batched_update import BatchedUpdateEngine
 from .algos.variants import VARIANTS, build_trainer, make_sampler
 from .configio import resolve_config
 from .envs.registry import available_envs, make
@@ -45,6 +46,14 @@ from .profiling.breakdown import end_to_end_breakdown, update_breakdown
 from .profiling.timers import PhaseTimer
 
 __all__ = ["main", "build_parser"]
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for count flags: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
 
 
 def _add_config_flags(parser, *, backends=True) -> None:
@@ -98,9 +107,9 @@ def build_parser() -> argparse.ArgumentParser:
     train = sub.add_parser("train", help="train one workload cell")
     train.add_argument("--algorithm", choices=["maddpg", "matd3"], default="maddpg")
     train.add_argument("--env", default="cooperative_navigation")
-    train.add_argument("--agents", type=int, default=3)
+    train.add_argument("--agents", type=_positive_int, default=3)
     train.add_argument("--variant", default="baseline")
-    train.add_argument("--episodes", type=int, default=50)
+    train.add_argument("--episodes", type=_positive_int, default=50)
     train.add_argument(
         "--spec",
         default=None,
@@ -120,14 +129,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(train)
     train.add_argument(
         "--steps",
-        type=int,
+        type=_positive_int,
         default=None,
         help="train for this many vector steps over --copies env copies through "
         "the execution pipeline instead of --episodes serial episodes",
     )
     train.add_argument(
         "--copies",
-        type=int,
+        type=_positive_int,
         default=8,
         help="environment copies stepped in lock-step (pipeline mode, with --steps)",
     )
@@ -180,10 +189,10 @@ def build_parser() -> argparse.ArgumentParser:
     profile = sub.add_parser("profile", help="phase breakdown of update rounds")
     profile.add_argument("--algorithm", choices=["maddpg", "matd3"], default="maddpg")
     profile.add_argument("--env", default="predator_prey")
-    profile.add_argument("--agents", type=int, default=3)
+    profile.add_argument("--agents", type=_positive_int, default=3)
     profile.add_argument("--variant", default="baseline")
     profile.add_argument("--batch-size", type=int, default=None, dest="batch_size")
-    profile.add_argument("--rounds", type=int, default=3)
+    profile.add_argument("--rounds", type=_positive_int, default=3)
     profile.add_argument("--seed", type=int, default=0)
     profile.set_defaults(usage_error=profile.error)
     _add_config_flags(profile)
@@ -389,16 +398,29 @@ def _cli_overrides(args) -> Dict[str, object]:
     }
 
 
-def _check_cell(args, batch_size: int) -> None:
+def _resolve(args, **kwargs):
+    """``resolve_config`` over this command's flags; a value the config
+    rejects is a usage error, not a traceback."""
+    try:
+        return resolve_config(cli_overrides=_cli_overrides(args), **kwargs)
+    except ValueError as exc:
+        args.usage_error(str(exc))
+
+
+def _check_cell(args, config) -> None:
     """Exit with a usage message, not a traceback, on an ``--env`` or
     ``--variant`` the registries reject (``make_sampler`` also checks the
-    variant's geometry against ``batch_size``)."""
+    variant's geometry against the batch size) and on ``--batched-update``
+    over a scenario whose agents differ in width."""
     if args.env not in available_envs():
         args.usage_error(
             f"unknown environment {args.env!r}; available: {available_envs()}"
         )
     try:
-        make_sampler(args.variant, batch_size)
+        make_sampler(args.variant, config.batch_size)
+        if config.batched_update:
+            env = make(args.env, num_agents=args.agents, seed=args.seed)
+            BatchedUpdateEngine.check_homogeneous(env.obs_dims, env.act_dims)
     except ValueError as exc:
         args.usage_error(str(exc))
 
@@ -418,9 +440,9 @@ def _print_end_to_end(result) -> None:
 def _cmd_train(args) -> int:
     from . import api
 
-    resolved = resolve_config(
+    resolved = _resolve(
+        args,
         file=args.spec,
-        cli_overrides=_cli_overrides(args),
         defaults={
             # the train command's historical laptop-scale defaults (the
             # paper-exact MARLConfig defaults stay for API users)
@@ -429,7 +451,7 @@ def _cmd_train(args) -> int:
             "update_every": 25,
         },
     )
-    _check_cell(args, resolved.config.batch_size)
+    _check_cell(args, resolved.config)
     result = api.train(
         resolved,
         algorithm=args.algorithm,
@@ -492,16 +514,13 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    resolved = resolve_config(
-        cli_overrides=_cli_overrides(args),
-        defaults={"batch_size": 1024, "update_every": 100},
-    )
+    resolved = _resolve(args, defaults={"batch_size": 1024, "update_every": 100})
     config = resolved.config
     if resolved.provenance["buffer_capacity"] == "default":
         config = config.scaled(
             buffer_capacity=max(4 * config.batch_size, 4096)
         )
-    _check_cell(args, config.batch_size)
+    _check_cell(args, config)
     env = make(args.env, num_agents=args.agents, seed=args.seed)
     trainer = build_trainer(
         args.algorithm, args.variant, env.obs_dims, env.act_dims,

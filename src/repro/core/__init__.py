@@ -7,7 +7,7 @@ reorganizer.
 """
 
 from .batch import AgentBatch, MiniBatch
-from .importance import BetaSchedule, importance_weights, locality_probabilities
+from .importance import BetaSchedule, importance_weights
 from .indices import Run, expand_runs, reference_points, runs_from_references, uniform_indices
 from .layout import LayoutReorganizer
 from .reuse import ReuseWindowSampler
@@ -37,7 +37,6 @@ __all__ = [
     "PAPER_THRESHOLDS",
     "PAPER_NEIGHBOR_COUNTS",
     "importance_weights",
-    "locality_probabilities",
     "BetaSchedule",
     "LayoutReorganizer",
     "MiniBatch",

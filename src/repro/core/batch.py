@@ -102,7 +102,3 @@ class MiniBatch:
     def joint_act(self) -> np.ndarray:
         """Concatenate all agents' actions row-wise (critic input part)."""
         return np.concatenate([ab.act for ab in self.agents], axis=1)
-
-    def joint_next_obs(self) -> np.ndarray:
-        """Concatenate all agents' next observations row-wise."""
-        return np.concatenate([ab.next_obs for ab in self.agents], axis=1)

@@ -18,7 +18,6 @@ import numpy as np
 
 __all__ = [
     "importance_weights",
-    "locality_probabilities",
     "BetaSchedule",
 ]
 
@@ -43,40 +42,6 @@ def importance_weights(
     if normalize:
         weights = weights / weights.max()
     return weights
-
-
-def locality_probabilities(
-    reference_probs: np.ndarray,
-    neighbor_counts: np.ndarray,
-    buffer_size: int,
-) -> np.ndarray:
-    """Effective per-row probabilities under locality-aware expansion.
-
-    When reference i (probability ``q_i`` of being drawn as a reference)
-    is expanded into ``n_i`` neighbors, each included row was reachable as
-    the neighbor of any of the ``n_i`` references covering it; to first
-    order each of the run's rows is sampled with probability
-
-        P(row) ~= q_i  (each run contributes n_i rows drawn because the
-                       single reference fired)
-
-    The *distribution over rows* therefore inherits the reference's
-    probability; this helper simply broadcasts q_i over its run and
-    validates shapes.  The uniform-reference special case collapses to
-    P = 1/buffer_size for every row, recovering w_i = 1 — i.e. plain
-    cache-aware sampling is unbiased in the Lemma-1 sense only under a
-    uniform reference distribution, which is why the paper pairs IS
-    weights with *prioritized* reference selection.
-    """
-    refs = np.asarray(reference_probs, dtype=np.float64)
-    counts = np.asarray(neighbor_counts, dtype=np.int64)
-    if refs.shape != counts.shape:
-        raise ValueError("reference_probs and neighbor_counts must align")
-    if np.any(counts <= 0):
-        raise ValueError("neighbor counts must be positive")
-    if buffer_size <= 0:
-        raise ValueError(f"buffer_size must be positive, got {buffer_size}")
-    return np.repeat(refs, counts)
 
 
 class BetaSchedule:

@@ -90,16 +90,6 @@ class ReuseWindowSampler(Sampler):
         """Forward priority updates to the base sampler every round."""
         self.base.update_priorities(replay, agent_idx, batch, td_errors)
 
-    def invalidate(self, agent_idx: Optional[int] = None) -> None:
-        """Drop cached batches (all agents, or one) and reset cadence."""
-        if agent_idx is None:
-            self._cache.clear()
-            self._calls.clear()
-        else:
-            self._calls.pop(agent_idx, None)
-            for key in [k for k in self._cache if k[0] == agent_idx]:
-                del self._cache[key]
-
     @property
     def reuse_ratio(self) -> float:
         """Fraction of serves that avoided a fresh gather."""

@@ -13,7 +13,6 @@ from .factory import make_env_factories, make_vector_env
 from .parallel import ParallelVectorEnv, WorkerCrashError
 from .prey_policy import FleePolicy, make_prey_callback
 from .registry import available_envs, make, register
-from .render import render_episode_frame, render_world
 from .scenario import BaseScenario
 from .scenarios.cooperative_navigation import CooperativeNavigationScenario
 from .scenarios.keep_away import KeepAwayScenario
@@ -38,8 +37,6 @@ __all__ = [
     "CooperativeNavigationScenario",
     "PhysicalDeceptionScenario",
     "KeepAwayScenario",
-    "render_world",
-    "render_episode_frame",
     "default_prey_counts",
     "FleePolicy",
     "make_prey_callback",

@@ -4,19 +4,13 @@
 to a multi-process rollout engine with the *same* per-agent ``(K,
 obs_dim)`` API: K environment copies are partitioned contiguously across
 worker processes, and every cross-process field travels through one
-``multiprocessing.shared_memory`` segment laid out with the PR-3
-:class:`~repro.buffers.transition.JointSchema` packing:
+``multiprocessing.shared_memory`` segment of three blocks:
 
 * an **action block** ``(K, sum(act_dims))`` the parent writes before
   each step;
-* a **transition block** ``(K, joint_width)`` of packed rows — each row
-  is exactly one :class:`~repro.buffers.arena.TransitionArena` record
-  (per agent: obs | act | rew | next_obs | done) — which workers fill as
-  they step, so the collector can ingest a whole step into an
-  arena-backed replay ring with a single packed-row write (zero copies
-  at the Python layer, see
-  :meth:`~repro.buffers.multi_agent.MultiAgentReplay.ingest` with
-  ``packed_rows=``);
+* a **reward/done block** ``(K, 2 * num_agents)`` — rewards in the first
+  ``num_agents`` columns, done flags in the rest — which workers fill as
+  they step;
 * an **observation block** ``(K, sum(obs_dims))`` holding the post-step
   (post-auto-reset) observations that feed the next batched actor
   forward.
@@ -46,11 +40,10 @@ import os
 import time
 from multiprocessing import get_context
 from multiprocessing import shared_memory
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..buffers.transition import JointSchema
 from ..shm import attach_unlink_guard, release_segment
 from .environment import MultiAgentEnv
 
@@ -98,9 +91,8 @@ def _worker_main(
     factories: Sequence[Callable[[], MultiAgentEnv]],
     row_start: int,
     act_block: np.ndarray,
-    trans_block: np.ndarray,
+    rew_done_block: np.ndarray,
     obs_block: np.ndarray,
-    schema: JointSchema,
     act_offsets: Sequence[int],
     obs_offsets: Sequence[int],
     conn,
@@ -112,16 +104,12 @@ def _worker_main(
     """
     try:
         envs = [factory() for factory in factories]
-        num_agents = schema.num_agents
-        agent_ranges = schema.agent_offsets()
-        slices = [s.slices() for s in schema.agents]
-        last_obs: List[List[np.ndarray]] = [[] for _ in envs]
+        num_agents = len(act_offsets)
         while True:
             cmd = conn.recv()
             if cmd == _CMD_RESET:
                 for j, env in enumerate(envs):
                     obs = env.reset()
-                    last_obs[j] = obs
                     row = obs_block[row_start + j]
                     for a in range(num_agents):
                         o = obs_offsets[a]
@@ -138,24 +126,15 @@ def _worker_main(
                     obs, rewards, dones, info = env.step(actions)
                     if all(dones):
                         obs = env.reset()
-                    # pack the transition row exactly as the arena stores it;
-                    # next_obs is the post-(auto-)reset observation, matching
-                    # SyncVectorEnv + collect_steps semantics (the done flag
-                    # cuts the bootstrap at terminals).
-                    row = trans_block[k]
-                    for a in range(num_agents):
-                        start, _end = agent_ranges[a]
-                        s = slices[a]
-                        row[start + s["obs"].start : start + s["obs"].stop] = last_obs[j][a]
-                        row[start + s["act"].start : start + s["act"].stop] = actions[a]
-                        row[start + s["rew"].start] = float(rewards[a])
-                        row[start + s["next_obs"].start : start + s["next_obs"].stop] = obs[a]
-                        row[start + s["done"].start] = float(dones[a])
+                    # the observation written is the post-(auto-)reset one,
+                    # matching SyncVectorEnv; rewards and done flags belong
+                    # to the terminating step
+                    rew_done_block[k, :num_agents] = rewards
+                    rew_done_block[k, num_agents:] = dones
                     obs_row = obs_block[k]
                     for a in range(num_agents):
                         o = obs_offsets[a]
                         obs_row[o : o + len(obs[a])] = obs[a]
-                    last_obs[j] = obs
                     infos.append(info)
                 conn.send(("ok", infos))
             elif cmd == _CMD_CLOSE:
@@ -228,29 +207,30 @@ class ParallelVectorEnv:
         self.obs_dims = list(probe.obs_dims)
         self.act_dims = list(probe.act_dims)
         del probe
-        self.schema = JointSchema.from_dims(self.obs_dims, self.act_dims)
         self._act_offsets = _field_offsets(self.act_dims)
         self._obs_offsets = _field_offsets(self.obs_dims)
         self._act_total = sum(self.act_dims)
         self._obs_total = sum(self.obs_dims)
 
-        # one shared segment: action block | transition block | obs block
+        # one shared segment: action block | reward/done block | obs block
         k = self.num_envs
         act_n = k * self._act_total
-        trans_n = k * self.schema.width
+        rew_done_n = k * 2 * self.num_agents
         obs_n = k * self._obs_total
-        nbytes = (act_n + trans_n + obs_n) * 8
+        nbytes = (act_n + rew_done_n + obs_n) * 8
         self._shm: Optional[shared_memory.SharedMemory] = shared_memory.SharedMemory(
             create=True, size=nbytes, name=f"{SHM_PREFIX}{os.getpid()}_{id(self):x}"
         )
         # finalizer guard: the segment unlinks at GC / interpreter exit
         # even when close() is never reached (crash mid-collection)
         self._shm_guard = attach_unlink_guard(self._shm)
-        flat = np.ndarray((act_n + trans_n + obs_n,), dtype=np.float64, buffer=self._shm.buf)
+        flat = np.ndarray((nbytes // 8,), dtype=np.float64, buffer=self._shm.buf)
         flat[:] = 0.0
         self._act_block = flat[:act_n].reshape(k, self._act_total)
-        self._trans_block = flat[act_n : act_n + trans_n].reshape(k, self.schema.width)
-        self._obs_block = flat[act_n + trans_n :].reshape(k, self._obs_total)
+        self._rew_done_block = flat[act_n : act_n + rew_done_n].reshape(
+            k, 2 * self.num_agents
+        )
+        self._obs_block = flat[act_n + rew_done_n :].reshape(k, self._obs_total)
 
         # contiguous copy partition -> fixed reduction order
         splits = np.array_split(np.arange(self.num_envs), self.num_workers)
@@ -279,9 +259,8 @@ class ParallelVectorEnv:
                 self._factories[start:stop],
                 start,
                 self._act_block,
-                self._trans_block,
+                self._rew_done_block,
                 self._obs_block,
-                self.schema,
                 self._act_offsets,
                 self._obs_offsets,
                 child_conn,
@@ -345,7 +324,7 @@ class ParallelVectorEnv:
             self._conns[w] = None
         if self._shm is not None:
             # drop views before closing the mapping
-            self._act_block = self._trans_block = self._obs_block = None
+            self._act_block = self._rew_done_block = self._obs_block = None
             release_segment(self._shm, self._shm_guard)
             self._shm = None
             self._shm_guard = None
@@ -484,97 +463,23 @@ class ParallelVectorEnv:
             for k in range(start, stop):
                 infos[k] = {"restarted_worker": w}
         self._steps_done += 1
-        rewards = np.empty((self.num_envs, self.num_agents))
-        dones = np.empty((self.num_envs, self.num_agents), dtype=bool)
-        ranges = self.schema.agent_offsets()
-        for a in range(self.num_agents):
-            start_col, _ = ranges[a]
-            s = self.schema.agents[a].slices()
-            rewards[:, a] = self._trans_block[:, start_col + s["rew"].start]
-            dones[:, a] = self._trans_block[:, start_col + s["done"].start] > 0.5
+        rewards = np.array(self._rew_done_block[:, : self.num_agents])
+        dones = self._rew_done_block[:, self.num_agents :] > 0.5
         return self._stacked_obs(), rewards, dones, infos
 
     def _recover_crashed_worker(self, worker_id: int) -> None:
         """Bounded restart: respawn and report a truncating terminal.
 
-        The crashed worker's copies lose their in-flight step: their
-        transition rows are rewritten as (last obs, sent action, reward
-        0, post-restart reset obs, done=True), so training sees a clean
-        truncated episode instead of torn data.
+        The crashed worker's copies lose their in-flight step: they
+        report reward 0, ``done=True`` and the post-restart reset
+        observation, so — with the caller's own pre-step observation and
+        sent action — training sees a clean truncated episode instead of
+        torn data.
         """
         start, stop = self._worker_rows[worker_id]
-        # snapshot the pre-step observations before the restart overwrites
-        # the obs block with fresh resets
-        prev_obs = self._obs_block[start:stop].copy()
         self._restart_worker(worker_id)
-        ranges = self.schema.agent_offsets()
-        for k in range(start, stop):
-            row = self._trans_block[k]
-            for a in range(self.num_agents):
-                col, _ = ranges[a]
-                s = self.schema.agents[a].slices()
-                o = self._obs_offsets[a]
-                off = self._act_offsets[a]
-                row[col + s["obs"].start : col + s["obs"].stop] = prev_obs[
-                    k - start, o : o + self.obs_dims[a]
-                ]
-                row[col + s["act"].start : col + s["act"].stop] = self._act_block[
-                    k, off : off + self.act_dims[a]
-                ]
-                row[col + s["rew"].start] = 0.0
-                row[col + s["next_obs"].start : col + s["next_obs"].stop] = (
-                    self._obs_block[k, o : o + self.obs_dims[a]]
-                )
-                row[col + s["done"].start] = 1.0
-
-    # -- views for zero-copy ingest ---------------------------------------------
-
-    def packed_transitions(self) -> np.ndarray:
-        """The ``(K, joint_width)`` packed transition block (shared view).
-
-        Rows follow the replay arena's :class:`JointSchema` layout
-        exactly, so an arena-backed replay ingests the whole step with
-        one packed-row write.  Contents are valid until the next
-        :meth:`step`.
-        """
-        self._require_open()
-        return self._trans_block
-
-    def transition_views(self) -> List[Tuple[np.ndarray, ...]]:
-        """Per-agent zero-copy field views of the last step's transitions.
-
-        Returns one ``(obs, act, rew, next_obs, done)`` tuple of column
-        views per agent (leading dimension K), cut from the packed
-        transition block at the joint schema's offsets.
-        """
-        self._require_open()
-        out = []
-        ranges = self.schema.agent_offsets()
-        for a in range(self.num_agents):
-            start_col, _ = ranges[a]
-            s = self.schema.agents[a].slices()
-            block = self._trans_block
-            out.append(
-                (
-                    block[:, start_col + s["obs"].start : start_col + s["obs"].stop],
-                    block[:, start_col + s["act"].start : start_col + s["act"].stop],
-                    block[:, start_col + s["rew"].start],
-                    block[:, start_col + s["next_obs"].start : start_col + s["next_obs"].stop],
-                    block[:, start_col + s["done"].start],
-                )
-            )
-        return out
-
-    def last_transitions(self) -> List[List[np.ndarray]]:
-        """Per-copy current observations (list of per-agent lists)."""
-        self._require_open()
-        return [
-            [
-                np.array(self._obs_block[k, o : o + d])
-                for o, d in zip(self._obs_offsets, self.obs_dims)
-            ]
-            for k in range(self.num_envs)
-        ]
+        self._rew_done_block[start:stop, : self.num_agents] = 0.0
+        self._rew_done_block[start:stop, self.num_agents :] = 1.0
 
     # -- internals ---------------------------------------------------------------
 

@@ -99,10 +99,6 @@ class SyncVectorEnv:
             self._last_obs[k] = obs
         return self._stacked_obs(), rewards, dones, infos
 
-    def last_transitions(self) -> List[List[np.ndarray]]:
-        """Per-copy current observations (list of per-agent lists)."""
-        return [list(obs) for obs in self._last_obs]
-
     # -- internals ---------------------------------------------------------------
 
     def _stacked_obs(self) -> List[np.ndarray]:

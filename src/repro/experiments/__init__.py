@@ -23,12 +23,10 @@ from .workloads import (
     PAPER_EPISODES,
     SCALABILITY_AGENT_COUNTS,
     WorkloadSpec,
-    paper_matrix,
 )
 
 __all__ = [
     "WorkloadSpec",
-    "paper_matrix",
     "PAPER_AGENT_COUNTS",
     "PAPER_EPISODES",
     "SCALABILITY_AGENT_COUNTS",

@@ -11,7 +11,7 @@ numbers are quoted.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Optional, Tuple
+from typing import Optional
 
 from ..algos.config import MARLConfig
 
@@ -20,7 +20,6 @@ __all__ = [
     "PAPER_AGENT_COUNTS",
     "PAPER_EPISODES",
     "SCALABILITY_AGENT_COUNTS",
-    "paper_matrix",
 ]
 
 #: Agent counts of the main evaluation (Figures 2/3/8/9, Table I).
@@ -77,24 +76,3 @@ class WorkloadSpec:
             episodes=episodes if episodes is not None else self.episodes,
             config=new_config,
         )
-
-
-def paper_matrix(
-    variant: str = "baseline",
-    algorithms: Tuple[str, ...] = ("maddpg", "matd3"),
-    envs: Tuple[str, ...] = ("predator_prey", "cooperative_navigation"),
-    agent_counts: Tuple[int, ...] = PAPER_AGENT_COUNTS,
-    config: Optional[MARLConfig] = None,
-) -> Iterator[WorkloadSpec]:
-    """Iterate the paper's evaluation matrix for one sampling variant."""
-    config = config if config is not None else MARLConfig()
-    for algorithm in algorithms:
-        for env_name in envs:
-            for n in agent_counts:
-                yield WorkloadSpec(
-                    algorithm=algorithm,
-                    env_name=env_name,
-                    num_agents=n,
-                    variant=variant,
-                    config=config,
-                )

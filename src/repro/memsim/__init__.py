@@ -23,10 +23,8 @@ from .sweeps import (
 from .tlb import TLB, TLBConfig, TLBStats
 from .trace import (
     buffer_write_trace,
-    indices_for_pattern,
     kv_gather_trace,
     make_agent_major_map,
-    make_timestep_major_map,
     trainer_gather_trace,
     update_round_trace,
 )
@@ -61,7 +59,5 @@ __all__ = [
     "update_round_trace",
     "kv_gather_trace",
     "buffer_write_trace",
-    "indices_for_pattern",
     "make_agent_major_map",
-    "make_timestep_major_map",
 ]

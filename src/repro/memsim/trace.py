@@ -16,10 +16,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Optional, Sequence
 
-import numpy as np
-
 from ..buffers.transition import JointSchema
-from ..core.indices import Run, expand_runs
 from .address_map import AgentMajorAddressMap, TimestepMajorAddressMap
 
 __all__ = [
@@ -27,22 +24,7 @@ __all__ = [
     "update_round_trace",
     "kv_gather_trace",
     "buffer_write_trace",
-    "indices_for_pattern",
 ]
-
-
-def indices_for_pattern(
-    rng: np.random.Generator,
-    valid_size: int,
-    batch_size: int,
-    runs: Optional[Sequence[Run]] = None,
-) -> np.ndarray:
-    """Index array for a sampling pattern: random batch or expanded runs."""
-    if runs:
-        return expand_runs(list(runs), valid_size)
-    if valid_size <= 0 or batch_size <= 0:
-        raise ValueError("valid_size and batch_size must be positive")
-    return rng.integers(0, valid_size, size=batch_size)
 
 
 def trainer_gather_trace(
@@ -107,10 +89,3 @@ def make_agent_major_map(
 ) -> AgentMajorAddressMap:
     """Convenience constructor mirroring the replay's storage geometry."""
     return AgentMajorAddressMap(schema, capacity, line_bytes)
-
-
-def make_timestep_major_map(
-    schema: JointSchema, capacity: int, line_bytes: int = 64
-) -> TimestepMajorAddressMap:
-    """Convenience constructor for the packed key-value layout."""
-    return TimestepMajorAddressMap(schema, capacity, line_bytes)

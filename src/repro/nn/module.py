@@ -85,11 +85,6 @@ class Module:
 
     # -- registration -----------------------------------------------------
 
-    def register_parameter(self, name: str, param: Parameter) -> Parameter:
-        param.name = name
-        self._parameters[name] = param
-        return param
-
     def register_module(self, name: str, module: "Module") -> "Module":
         self._modules[name] = module
         return module

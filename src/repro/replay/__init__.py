@@ -3,10 +3,8 @@
 The package breaks the one-process replay ceiling (ROADMAP item 1,
 malib's ``offline_dataset_server`` push/pull design):
 
-* :mod:`repro.replay.sharding` — the shard router and the in-process
-  :class:`ShardedReplay` (S timestep-major arenas behind one dataset
-  API), with shard-aware checkpoints and sharded ↔ single-arena
-  interchange.
+* :mod:`repro.replay.sharding` — the round-robin shard router and the
+  fill-proportional draw allocation.
 * :mod:`repro.replay.service` — :class:`ReplayShardService`: S shard
   server processes over one shared-memory segment with a zero-copy push
   endpoint for rollout producers and per-learner pull endpoints serving
@@ -28,26 +26,17 @@ from .params import (
     agent_param_arrays,
 )
 from .service import ReplayShardService, ShardPullClient
-from .sharding import (
-    SHARD_POLICIES,
-    ShardedReplay,
-    ShardRouter,
-    allocate_proportional,
-    rows_in_order,
-)
+from .sharding import ShardRouter, allocate_proportional
 
 __all__ = [
     "MultiLearnerCoordinator",
     "ParameterStore",
     "ParameterSubscriber",
     "ReplayShardService",
-    "SHARD_POLICIES",
     "ShardPullClient",
     "ShardRouter",
-    "ShardedReplay",
     "SharedParameterStore",
     "agent_param_arrays",
     "allocate_proportional",
     "minibatch_from_rows",
-    "rows_in_order",
 ]

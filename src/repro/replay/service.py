@@ -8,10 +8,10 @@ tiny ``(command, count)`` tuples — following malib's
 ``offline_dataset_server`` push/pull decoupling:
 
 * **push** — the rollout producer routes each packed sweep's rows to
-  shards (round-robin or hash of the global timestep index), writes
-  them into per-shard push slots in the segment, and sends one message
-  per touched shard.  The shard ingests with the PR-4/5 zero-copy
-  ``ingest(packed_rows=)`` fancy-index ring write.
+  shards (round-robin on the global timestep index), writes them into
+  per-shard push slots in the segment, and sends one message per
+  touched shard.  The shard ingests with the ``ingest(packed_rows=)``
+  fancy-index ring write.
 * **pull** — each learner owns a response slot per shard.  A mini-batch
   request fans out counts proportional to shard fill; every shard
   serves its slice with one ``gather_joint`` fancy-index packed read
@@ -233,8 +233,6 @@ class ReplayShardService:
         Largest single :meth:`push` row count (one rollout sweep).
     max_batch:
         Largest per-client mini-batch.
-    policy:
-        Shard routing: ``"round_robin"`` (default) or ``"hash"``.
     """
 
     def __init__(
@@ -246,7 +244,6 @@ class ReplayShardService:
         num_clients: int = 1,
         max_push: int = 1024,
         max_batch: int = 4096,
-        policy: str = "round_robin",
         seed: int = 0,
     ) -> None:
         if num_shards < 1:
@@ -261,7 +258,7 @@ class ReplayShardService:
         self.max_push = int(max_push)
         self.max_batch = int(max_batch)
         self.shard_capacity = -(-int(capacity) // self.num_shards)
-        self.router = ShardRouter(self.num_shards, policy)
+        self.router = ShardRouter(self.num_shards)
         width = self.schema.width
 
         # one segment: per shard, a push slot + one response slot per client

@@ -170,13 +170,6 @@ class SnapshotStore:
         self._applied: Dict[int, int] = {}
         self._latest: Dict[int, List[np.ndarray]] = {}
 
-    @classmethod
-    def for_trainer(cls, trainer, backend=None) -> "SnapshotStore":
-        """Template from a trainer's agents; publishes its current actors."""
-        store = cls([a.actor for a in trainer.agents], backend=backend)
-        store.publish_actors([a.actor for a in trainer.agents])
-        return store
-
     # -- introspection ------------------------------------------------------
 
     @property
@@ -248,10 +241,6 @@ class SnapshotStore:
     def publish_actors(self, actors: Sequence[Sequential]) -> int:
         """Publish from live actor networks (parameters copied)."""
         return self.publish_arrays([_actor_param_values(a) for a in actors])
-
-    def publish_trainer(self, trainer) -> int:
-        """Publish the trainer's current actors."""
-        return self.publish_actors([a.actor for a in trainer.agents])
 
     # -- training bridge ----------------------------------------------------
 

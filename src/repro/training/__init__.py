@@ -1,7 +1,7 @@
 """Training harness: loop, evaluation, seeding, and run results."""
 
 from .batched import collect_steps
-from .evaluation import CurveComparison, compare_curves, evaluate_policy
+from .evaluation import CurveComparison, compare_curves
 from .loop import run_episode, train, train_steps
 from .metrics import EpisodeMetrics, MetricsCollector, run_episode_with_metrics
 from .results import RunResult, smooth_curve
@@ -15,7 +15,6 @@ __all__ = [
     "MetricsCollector",
     "EpisodeMetrics",
     "run_episode_with_metrics",
-    "evaluate_policy",
     "compare_curves",
     "CurveComparison",
     "RunResult",

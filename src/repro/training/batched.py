@@ -5,31 +5,26 @@ action selection runs ONE batched actor forward per agent for all K
 copies (amortizing the phase the paper offloads to the GPU), the vector
 env (:class:`~repro.envs.vector.SyncVectorEnv` or the process-parallel
 :class:`~repro.envs.parallel.ParallelVectorEnv`) advances every copy,
-and the sweep's K transitions are handed off.  Two hand-offs exist:
+and the sweep's K transitions are handed off as the per-agent field
+stacks ``(obs, act, rew, next_obs, done)`` — the one shape a sweep takes
+between a vector env and a hand-off.  Two hand-offs exist:
 
 * :class:`LocalHandoff` — ingest into the trainer's own replay through
-  :meth:`~repro.algos.maddpg.MADDPGTrainer.experience_batch` /
-  :meth:`~repro.algos.maddpg.MADDPGTrainer.experience_packed`, chunked
+  :meth:`~repro.algos.maddpg.MADDPGTrainer.experience_batch`, chunked
   at update-trigger boundaries, so the replay contents, the update
   cadence, and every RNG draw are identical to the
   K-sequential-``experience``-calls stream — without K Python-level
   buffer round-trips per step.
-* :class:`ServiceHandoff` — push the sweep's packed rows to the
-  :class:`~repro.replay.service.ReplayShardService`, whose L learner
-  processes update free-running, and refresh the rollout actors from the
-  :class:`~repro.replay.params.SharedParameterStore` under the
+* :class:`ServiceHandoff` — pack the sweep into joint-schema rows, push
+  them to the :class:`~repro.replay.service.ReplayShardService`, whose L
+  learner processes update free-running, and refresh the rollout actors
+  from the :class:`~repro.replay.params.SharedParameterStore` under the
   configured staleness bound.
-
-When the env exposes packed joint-schema transitions (the parallel
-engine's shared-memory block) a hand-off that can take them verbatim
-receives whole sweeps as packed rows: the workers' shared-memory writes
-land in replay storage with one fancy-index row copy and no per-field
-splitting.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -41,9 +36,9 @@ from ..replay.service import ReplayShardService
 
 __all__ = ["collect_steps", "LocalHandoff", "ServiceHandoff"]
 
-#: one sweep's K transitions: packed joint-schema rows, or the per-agent
-#: ``(obs, act, rew, next_obs, done)`` field stacks
-SweepBatch = Union[np.ndarray, Tuple[List[np.ndarray], ...]]
+#: one sweep's K transitions: the per-agent ``(obs, act, rew, next_obs,
+#: done)`` field stacks
+SweepBatch = Tuple[List[np.ndarray], ...]
 
 
 def _ingest_chunk_bounds(trainer: MADDPGTrainer, total: int, pos: int) -> int:
@@ -61,43 +56,23 @@ def _ingest_chunk_bounds(trainer: MADDPGTrainer, total: int, pos: int) -> int:
     return min(total - pos, max(until_cadence, until_fill, 1))
 
 
-def _use_packed_ingest(vec_env, trainer: MADDPGTrainer) -> bool:
-    """Whether the env->replay path can skip per-field splitting.
-
-    Requires: the env exposes packed joint-schema rows, the replay ring
-    is arena-backed with the *same* schema (so rows drop in verbatim),
-    and storage is non-prioritized (PER needs the per-row tree
-    bookkeeping of the split path).
-    """
-    if not hasattr(vec_env, "packed_transitions"):
-        return False
-    if trainer.replay.prioritized:
-        return False
-    arena = trainer.replay.arena
-    return arena is not None and arena.schema == trainer.replay.schema == vec_env.schema
-
-
 class LocalHandoff:
     """Store each sweep in the trainer's replay and update at the paper's
     cadence — exactly where the sequential store-one/update-once loop
     would."""
 
-    def __init__(self, vec_env, trainer: MADDPGTrainer) -> None:
+    def __init__(self, trainer: MADDPGTrainer) -> None:
         self.trainer = trainer
-        self.packed = _use_packed_ingest(vec_env, trainer)
 
     def __call__(self, sweep: int, batch: SweepBatch) -> int:
         trainer = self.trainer
-        total = batch.shape[0] if self.packed else batch[2][0].shape[0]
+        total = batch[2][0].shape[0]
         pos = 0
         while pos < total:
             end = pos + _ingest_chunk_bounds(trainer, total, pos)
-            if self.packed:
-                trainer.experience_packed(batch[pos:end])
-            else:
-                trainer.experience_batch(
-                    *([x[pos:end] for x in field] for field in batch)
-                )
+            trainer.experience_batch(
+                *([x[pos:end] for x in field] for field in batch)
+            )
             trainer.update()
             pos = end
         return total
@@ -118,7 +93,6 @@ class ServiceHandoff:
     def __init__(self, vec_env, trainer: MADDPGTrainer, seed: int = 0) -> None:
         config = trainer.config
         self.trainer = trainer
-        self.packed = hasattr(vec_env, "packed_transitions")
         self.staleness = config.param_staleness
         self.service = ReplayShardService(
             trainer.obs_dims,
@@ -153,7 +127,7 @@ class ServiceHandoff:
 
     def __call__(self, sweep: int, batch: SweepBatch) -> int:
         trainer = self.trainer
-        rows = batch if self.packed else trainer.replay.schema.pack_batch(*batch)
+        rows = trainer.replay.schema.pack_batch(*batch)
         with trainer.timer.phase(SERVICE_PUSH):
             pushed = self.service.push(rows)
         trainer.total_env_steps += pushed
@@ -225,8 +199,7 @@ def collect_steps(
 
     Accepts any vector env with the ``SyncVectorEnv`` API; a
     :class:`~repro.envs.parallel.ParallelVectorEnv` additionally gets its
-    worker-wait time attributed (``env_step.worker_wait``) and, with
-    timestep-major storage, the packed zero-copy ingest path.  Each
+    worker-wait time attributed (``env_step.worker_wait``).  Each
     sweep's transitions go to ``handoff(sweep, batch)`` — by default a
     :class:`LocalHandoff`, or nowhere with ``learn=False``.  Returns
     collection statistics: transitions handed off, update rounds run,
@@ -239,7 +212,7 @@ def collect_steps(
     if hasattr(vec_env, "attach_telemetry"):
         vec_env.attach_telemetry(trainer.telemetry)
     if handoff is None and learn:
-        handoff = LocalHandoff(vec_env, trainer)
+        handoff = LocalHandoff(trainer)
     obs = vec_env.reset()
     num_agents = vec_env.num_agents
     rewards_sum = 0.0
@@ -256,23 +229,18 @@ def collect_steps(
             next_obs, rewards, dones, _infos = vec_env.step(actions)
         rewards_sum += float(rewards.mean())
         if handoff is not None:
-            if handoff.packed:
-                # workers already packed this step's K joint-schema rows
-                # into the shared transition block; hand them off verbatim
-                batch = vec_env.packed_transitions()
-            else:
-                # per-agent (K, .) stacks; `obs` is the pre-step observation
-                # (post-reset on copies that terminated last step).  On
-                # auto-reset steps the stacked next_obs is the post-reset
-                # observation; the stored next_obs uses the terminal flag
-                # so the bootstrap is cut there anyway.
-                batch = (
-                    [np.asarray(obs[a]) for a in range(num_agents)],
-                    [np.asarray(actions[a]) for a in range(num_agents)],
-                    [rewards[:, a] for a in range(num_agents)],
-                    [np.asarray(next_obs[a]) for a in range(num_agents)],
-                    [dones[:, a].astype(np.float64) for a in range(num_agents)],
-                )
+            # per-agent (K, .) stacks; `obs` is the pre-step observation
+            # (post-reset on copies that terminated last step).  On
+            # auto-reset steps the stacked next_obs is the post-reset
+            # observation; the stored next_obs uses the terminal flag
+            # so the bootstrap is cut there anyway.
+            batch = (
+                [np.asarray(obs[a]) for a in range(num_agents)],
+                [np.asarray(actions[a]) for a in range(num_agents)],
+                [rewards[:, a] for a in range(num_agents)],
+                [np.asarray(next_obs[a]) for a in range(num_agents)],
+                [dones[:, a].astype(np.float64) for a in range(num_agents)],
+            )
             stored += handoff(sweep, batch)
         obs = next_obs
     return {

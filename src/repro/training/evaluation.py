@@ -1,4 +1,4 @@
-"""Policy evaluation and curve-comparison utilities.
+"""Curve-comparison utilities.
 
 Supports the paper's learning-quality claims: Figure 10/11 compare the
 *shape* of reward curves between baseline and optimized samplers.  The
@@ -10,31 +10,13 @@ assert "preserves the mean scores" mechanically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
-from ..algos.maddpg import MADDPGTrainer
-from ..envs.environment import MultiAgentEnv
-from .loop import run_episode
 from .results import RunResult, smooth_curve
 
-__all__ = ["evaluate_policy", "CurveComparison", "compare_curves"]
-
-
-def evaluate_policy(
-    env: MultiAgentEnv,
-    trainer: MADDPGTrainer,
-    episodes: int = 10,
-) -> float:
-    """Mean total episode reward under the greedy policy (no learning)."""
-    if episodes <= 0:
-        raise ValueError(f"episodes must be positive, got {episodes}")
-    totals: List[float] = []
-    for _ in range(episodes):
-        agent_totals = run_episode(env, trainer, explore=False, learn=False)
-        totals.append(float(np.sum(agent_totals)))
-    return float(np.mean(totals))
+__all__ = ["CurveComparison", "compare_curves"]
 
 
 @dataclass(frozen=True)

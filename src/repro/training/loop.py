@@ -30,7 +30,7 @@ import numpy as np
 from ..algos.maddpg import MADDPGTrainer
 from ..envs.environment import MultiAgentEnv
 from ..telemetry import NULL_RECORDER, TelemetryRecorder
-from .batched import LocalHandoff, ServiceHandoff, collect_steps
+from .batched import ServiceHandoff, collect_steps
 from .results import RunResult
 
 __all__ = ["train", "train_steps", "run_episode"]
@@ -197,7 +197,7 @@ def train_steps(
     with (
         ServiceHandoff(vec_env, trainer, seed=0 if seed is None else seed)
         if service
-        else nullcontext(LocalHandoff(vec_env, trainer))
+        else nullcontext()  # collect_steps' default: LocalHandoff
     ) as handoff:
         start = time.perf_counter()
         stats = collect_steps(vec_env, trainer, steps, explore=explore, handoff=handoff)

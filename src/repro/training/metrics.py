@@ -87,10 +87,6 @@ class MetricsCollector:
             raise ValueError("no coverage data recorded (not a cooperative task?)")
         return float(np.mean(values))
 
-    def collision_curve(self) -> np.ndarray:
-        """Per-episode collision counts (catch-rate learning curve)."""
-        return np.array([e.total_collisions for e in self.episodes], dtype=np.float64)
-
     def summary(self) -> Dict[str, float]:
         """All available aggregates as one dict."""
         out: Dict[str, float] = {

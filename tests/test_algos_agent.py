@@ -51,17 +51,6 @@ class TestActing:
         draws = {int(np.argmax(agent.act(obs, rng=rng))) for _ in range(100)}
         assert len(draws) > 1  # Gumbel noise explores
 
-    def test_act_discrete_in_range(self, rng):
-        agent = make_agent(rng)
-        a = agent.act_discrete(rng.standard_normal(16), rng=rng)
-        assert 0 <= a < 5
-
-    def test_greedy_one_hot(self, rng):
-        agent = make_agent(rng)
-        out = agent.greedy_one_hot(rng.standard_normal(16))
-        assert out.shape == (5,)
-        assert out.sum() == 1.0 and np.all(np.isin(out, [0.0, 1.0]))
-
 
 class TestTargets:
     def test_targets_start_identical(self, rng):

@@ -255,7 +255,7 @@ class TestMATD3:
     def test_target_q_uses_twin_minimum(self, rng):
         trainer = tiny_trainer(MATD3Trainer)
         feed(trainer, rng, 40)
-        batch = trainer._sample_for(0)
+        batch = trainer._draw_batch(0)
         next_actions = trainer._target_actions(batch)
         joint_next = np.concatenate(
             [ab.next_obs for ab in batch.agents] + next_actions, axis=1

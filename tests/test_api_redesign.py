@@ -3,7 +3,7 @@
 Contracts under test:
 
 * ``make_replay`` — the unified construction entry point (config
-  defaults, ``schema=`` vs ``obs_dims=/act_dims=``, engine routing).
+  defaults, engine routing).
 * ``ingest`` — one batch-write verb over both call shapes, producing
   byte-identical buffer state.
 * ``gather`` — one read verb over ``(indices | runs, *, vectorized)``.
@@ -15,7 +15,6 @@ import pytest
 
 from repro.algos import MARLConfig, build_trainer, make_sampler
 from repro.buffers import (
-    JointSchema,
     MultiAgentReplay,
     PrioritizedReplayBuffer,
     ReplayBuffer,
@@ -79,12 +78,6 @@ class TestMakeReplay:
         assert all(isinstance(b, ReplayBuffer) for b in replay.buffers)
         assert not any(isinstance(b, PrioritizedReplayBuffer) for b in replay.buffers)
 
-    def test_schema_spelling_matches_dims_spelling(self):
-        schema = JointSchema.from_dims(OBS_DIMS, ACT_DIMS)
-        by_schema = make_replay(schema=schema, capacity=32)
-        by_dims = make_replay(obs_dims=OBS_DIMS, act_dims=ACT_DIMS, capacity=32)
-        assert by_schema.schema == by_dims.schema
-
     def test_config_supplies_defaults_and_keywords_override(self):
         cfg = MARLConfig(batch_size=64, buffer_capacity=128, per_alpha=0.5)
         replay = make_replay(cfg, obs_dims=OBS_DIMS, act_dims=ACT_DIMS, prioritized=True)
@@ -106,15 +99,6 @@ class TestMakeReplay:
             obs_dims=OBS_DIMS, act_dims=ACT_DIMS, storage="agent_major"
         )
         assert dense_replay.arena is None
-
-    def test_exactly_one_dimension_spelling(self):
-        schema = JointSchema.from_dims(OBS_DIMS, ACT_DIMS)
-        with pytest.raises(ValueError, match="exactly one"):
-            make_replay(schema=schema, obs_dims=OBS_DIMS, act_dims=ACT_DIMS)
-        with pytest.raises(ValueError, match="exactly one"):
-            make_replay()
-        with pytest.raises(ValueError, match="together"):
-            make_replay(obs_dims=OBS_DIMS)
 
 
 class TestValidateBatchFields:
@@ -142,12 +126,31 @@ class TestValidateBatchFields:
 class TestIngest:
     def test_batch_and_packed_shapes_agree(self, storage):
         rng = np.random.default_rng(0)
-        batch = _joint_batch(rng, 24)
         via_batch = make_replay(obs_dims=OBS_DIMS, act_dims=ACT_DIMS, capacity=64, storage=storage)
         via_packed = make_replay(obs_dims=OBS_DIMS, act_dims=ACT_DIMS, capacity=64, storage=storage)
-        assert via_batch.ingest(batch) == 24
-        assert via_packed.ingest(packed_rows=_pack(batch, via_packed.schema)) == 24
+        for _ in range(3):  # 72 rows into 64 slots: the third write wraps
+            batch = _joint_batch(rng, 24)
+            rows = _pack(batch, via_packed.schema)
+            np.testing.assert_array_equal(via_packed.schema.pack_batch(*batch), rows)
+            if storage == "agent_major":
+                # the packed arm is the arena's ring write; no replay re-splits rows
+                with pytest.raises(ValueError, match="timestep_major"):
+                    via_packed.ingest(packed_rows=rows)
+                return
+            assert via_batch.ingest(batch) == 24
+            assert via_packed.ingest(packed_rows=rows) == 24
         _assert_state_equal(_buffer_state(via_batch), _buffer_state(via_packed))
+        assert via_packed.arena.next_index == via_batch.arena.next_index == 8
+
+    def test_packed_rows_rejected_on_prioritized(self, storage):
+        replay = make_replay(
+            obs_dims=OBS_DIMS, act_dims=ACT_DIMS, capacity=32,
+            prioritized=True, storage=storage,
+        )
+        rows = _pack(_joint_batch(np.random.default_rng(1), 4), replay.schema)
+        with pytest.raises(ValueError, match="non-prioritized"):
+            replay.ingest(packed_rows=rows)
+        assert len(replay) == 0
 
     def test_exactly_one_call_shape(self, storage):
         replay = make_replay(obs_dims=OBS_DIMS, act_dims=ACT_DIMS, capacity=32, storage=storage)

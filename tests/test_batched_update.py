@@ -37,23 +37,22 @@ OBS, ACT = 6, 3
 TOL = dict(rtol=1e-10, atol=1e-12)
 
 
-def make_trainer(cls, n, prioritized=False, batched=False, shared=False, seed=11, **cfg):
+def make_trainer(cls, n, prioritized=False, batched=False, seed=11, **cfg):
     config = engine_config(
         batch_size=16,
         buffer_capacity=256,
         update_every=8,
         hidden_units=(16, 16),
         batched_update=batched,
-        shared_batch=shared,
         **cfg,
     )
     sampler = PrioritizedSampler() if prioritized else UniformSampler()
     return cls([OBS] * n, [ACT] * n, config=config, sampler=sampler, seed=seed)
 
 
-def make_pair(cls, n, prioritized=False, shared=False, rows=64):
-    scalar = make_trainer(cls, n, prioritized, batched=False, shared=shared)
-    batched = make_trainer(cls, n, prioritized, batched=True, shared=shared)
+def make_pair(cls, n, prioritized=False, rows=64):
+    scalar = make_trainer(cls, n, prioritized, batched=False)
+    batched = make_trainer(cls, n, prioritized, batched=True)
     fill_multi_agent_replay(scalar.replay, np.random.default_rng(5), rows)
     fill_multi_agent_replay(batched.replay, np.random.default_rng(5), rows)
     return scalar, batched
@@ -79,7 +78,7 @@ def all_networks(agent):
 
 class TestEngineEquivalence:
     @pytest.mark.parametrize("cls", [MADDPGTrainer, MATD3Trainer])
-    @pytest.mark.parametrize("n", [3, 6])
+    @pytest.mark.parametrize("n", [1, 3, 6])
     @pytest.mark.parametrize("prioritized", [False, True])
     def test_matches_scalar_loop(self, cls, n, prioritized):
         scalar, batched = make_pair(cls, n, prioritized)
@@ -105,16 +104,6 @@ class TestEngineEquivalence:
                     np.testing.assert_allclose(
                         value, net_b.state_dict()[name], err_msg=name, **TOL
                     )
-
-    @pytest.mark.parametrize("cls", [MADDPGTrainer, MATD3Trainer])
-    def test_matches_scalar_loop_shared_batch(self, cls):
-        scalar, batched = make_pair(cls, 3, shared=True)
-        for _ in range(4):
-            ls = scalar.update(force=True)
-            lb = batched.update(force=True)
-            np.testing.assert_allclose(ls["q_loss"], lb["q_loss"], **TOL)
-            np.testing.assert_allclose(ls["p_loss"], lb["p_loss"], **TOL)
-        assert scalar.rng.bit_generator.state == batched.rng.bit_generator.state
 
     def test_priority_trees_match(self):
         scalar, batched = make_pair(MADDPGTrainer, 3, prioritized=True)
@@ -206,62 +195,57 @@ class TestEngineWiring:
         np.testing.assert_array_equal(engine_logits[0], scalar_logits)
 
 
+def count_calls(trainer, name):
+    """Count calls of ``trainer.<name>`` from here on."""
+    count = {"n": 0}
+    original = getattr(trainer, name)
+
+    def spy(*args, **kwargs):
+        count["n"] += 1
+        return original(*args, **kwargs)
+
+    setattr(trainer, name, spy)
+    return count
+
+
 class TestScalarRoundCaches:
-    def test_shared_batch_samples_once_per_round(self):
-        trainer = make_trainer(MADDPGTrainer, 3, shared=True)
+    """One injected batch serves every owned agent (the service-mode
+    learner's round), so its derived values are built once per round."""
+
+    def test_injected_round_never_samples(self):
+        trainer = make_trainer(MADDPGTrainer, 3)
         fill_multi_agent_replay(trainer.replay, np.random.default_rng(5), 64)
-        calls = []
-        original = trainer.sampler.sample
+        batch = trainer._draw_batch(0)
+        draws = count_calls(trainer.sampler, "sample")
+        write_backs = count_calls(trainer.sampler, "update_priorities")
+        trainer._injected_round(batch)
+        assert draws["n"] == 0 and write_backs["n"] == 0
+        assert trainer.update_rounds == 1
 
-        def spy(replay, rng, batch_size, agent_idx=0):
-            calls.append(agent_idx)
-            return original(replay, rng, batch_size, agent_idx=agent_idx)
-
-        trainer.sampler.sample = spy
-        trainer.update(force=True)
-        assert calls == [0]
-
-    def test_shared_batch_computes_target_actions_once(self):
-        trainer = make_trainer(MADDPGTrainer, 3, shared=True)
+    def test_injected_round_builds_derived_values_once(self):
+        trainer = make_trainer(MADDPGTrainer, 3)
         fill_multi_agent_replay(trainer.replay, np.random.default_rng(5), 64)
-        count = {"n": 0}
-        original = trainer._target_actions
-
-        def spy(batch):
-            count["n"] += 1
-            return original(batch)
-
-        trainer._target_actions = spy
-        trainer.update(force=True)
-        assert count["n"] == 1
-        trainer.update(force=True)  # cache is round-scoped, not sticky
-        assert count["n"] == 2
+        batch = trainer._draw_batch(0)
+        target_actions = count_calls(trainer, "_target_actions")
+        critic_inputs = count_calls(trainer, "_critic_input")
+        trainer._injected_round(batch)
+        assert target_actions["n"] == 1 and critic_inputs["n"] == 1
+        trainer._injected_round(batch)  # cache is round-scoped, not sticky
+        assert target_actions["n"] == 2 and critic_inputs["n"] == 2
+        trainer._injected_round(batch, agents=[0, 2])  # a learner's partition
+        assert target_actions["n"] == 3 and critic_inputs["n"] == 3
 
     def test_default_path_computes_target_actions_per_agent(self):
         trainer = make_trainer(MADDPGTrainer, 3)
         fill_multi_agent_replay(trainer.replay, np.random.default_rng(5), 64)
-        count = {"n": 0}
-        original = trainer._target_actions
-
-        def spy(batch):
-            count["n"] += 1
-            return original(batch)
-
-        trainer._target_actions = spy
+        count = count_calls(trainer, "_target_actions")
         trainer.update(force=True)
         assert count["n"] == 3
 
     def test_critic_input_built_once_per_agent(self):
         trainer = make_trainer(MADDPGTrainer, 3)
         fill_multi_agent_replay(trainer.replay, np.random.default_rng(5), 64)
-        count = {"n": 0}
-        original = trainer._critic_input
-
-        def spy(batch):
-            count["n"] += 1
-            return original(batch)
-
-        trainer._critic_input = spy
+        count = count_calls(trainer, "_critic_input")
         trainer.update(force=True)
         # once per agent (shared by critic + actor updates), not twice
         assert count["n"] == 3

@@ -62,7 +62,7 @@ class TestKVStoreEager:
         self.write_joint(store, obs, act, [1.0, 2.0], obs, [False, True])
         rows = store.gather_joint([0])
         for k in range(2):
-            o, a, r, no, d = store.unpack_agent(rows, k)
+            o, a, r, no, d = store.schema.split_batch(rows)[k]
             np.testing.assert_array_equal(o[0], obs[k])
             np.testing.assert_array_equal(a[0], act[k])
             assert r[0] == float(k + 1)
@@ -74,7 +74,7 @@ class TestKVStoreEager:
             self.write_zeros(store, rew=(float(i), 0.0))
         assert len(store) == 16
         rows = store.gather_joint([0])
-        _, _, r, _, _ = store.unpack_agent(rows, 0)
+        _, _, r, _, _ = store.schema.split_batch(rows)[0]
         assert r[0] == 16.0  # slot 0 overwritten by insert 16
 
     def test_gather_validation(self, rng):
@@ -87,12 +87,12 @@ class TestKVStoreEager:
         with pytest.raises(ValueError):
             store.gather_joint([])
 
-    def test_unpack_agent_index_validation(self, rng):
+    def test_split_batch_width_validation(self, rng):
         store, _ = self.make_store()
         self.write_zeros(store)
         rows = store.gather_joint([0])
-        with pytest.raises(IndexError):
-            store.unpack_agent(rows, 2)
+        with pytest.raises(ValueError, match="packed rows"):
+            store.schema.split_batch(rows[:, :-1])
 
 
 class TestKVStoreIngest:
@@ -103,7 +103,7 @@ class TestKVStoreIngest:
         idx = rng.integers(0, len(small_replay), size=32)
         rows = store.gather_joint(idx)
         for k, buf in enumerate(small_replay.buffers):
-            kv_fields = store.unpack_agent(rows, k)
+            kv_fields = store.schema.split_batch(rows)[k]
             am_fields = buf.gather_vectorized(idx)
             for a, b in zip(kv_fields, am_fields):
                 np.testing.assert_array_equal(a, b)
@@ -180,20 +180,10 @@ class TestMultiAgentReplay:
             for a, b in zip(la, fa):
                 np.testing.assert_array_equal(a, b)
 
-    def test_can_sample_gate(self, rng):
-        replay = MultiAgentReplay([4], [2], capacity=64)
-        assert not replay.can_sample(8)
-        fill_multi_agent_replay(replay, rng, 8)
-        assert replay.can_sample(8)
-
     def test_priority_buffer_typed_access(self, prioritized_replay, small_replay):
         assert prioritized_replay.priority_buffer(0) is prioritized_replay.buffers[0]
         with pytest.raises(TypeError, match="not prioritized"):
             small_replay.priority_buffer(0)
-
-    def test_sample_indices_shared_space(self, rng, small_replay):
-        idx = small_replay.sample_indices(rng, 64)
-        assert idx.max() < len(small_replay)
 
     def test_clear(self, small_replay):
         small_replay.clear()

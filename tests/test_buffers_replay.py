@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.buffers import PAPER_BUFFER_CAPACITY, ReplayBuffer, TransitionSchema
+from repro.buffers import (
+    PAPER_BUFFER_CAPACITY,
+    JointSchema,
+    ReplayBuffer,
+    TransitionSchema,
+)
 
 
 def fill(buf: ReplayBuffer, rng: np.random.Generator, rows: int):
@@ -131,33 +136,6 @@ class TestGatherRun:
             buf.gather_run(0, 1)
 
 
-class TestSampleIndices:
-    def test_indices_in_valid_range(self, rng):
-        buf = ReplayBuffer(128, 2, 2)
-        fill(buf, rng, 60)
-        idx = buf.sample_indices(rng, 1000)
-        assert idx.min() >= 0 and idx.max() < 60
-
-    def test_invalid_batch_size(self, rng):
-        buf = ReplayBuffer(8, 2, 2)
-        fill(buf, rng, 4)
-        with pytest.raises(ValueError):
-            buf.sample_indices(rng, 0)
-
-    def test_sample_empty_raises(self, rng):
-        buf = ReplayBuffer(8, 2, 2)
-        with pytest.raises(ValueError):
-            buf.sample_indices(rng, 4)
-
-    def test_sampling_is_roughly_uniform(self):
-        rng = np.random.default_rng(0)
-        buf = ReplayBuffer(64, 2, 2)
-        fill(buf, rng, 10)
-        idx = buf.sample_indices(rng, 50_000)
-        freq = np.bincount(idx, minlength=10) / idx.size
-        np.testing.assert_allclose(freq, 0.1, atol=0.01)
-
-
 class TestStorageViews:
     def test_views_are_read_only(self, rng):
         buf = ReplayBuffer(16, 2, 2)
@@ -179,16 +157,20 @@ class TestSchema:
         assert s.nbytes == s.width * 8
 
     def test_pack_unpack_round_trip(self, rng):
-        s = TransitionSchema(4, 3)
-        obs = rng.standard_normal(4)
-        act = rng.standard_normal(3)
-        next_obs = rng.standard_normal(4)
-        row = s.pack(obs, act, 1.5, next_obs, True)
-        o, a, r, no, d = s.unpack(row)
-        np.testing.assert_array_equal(o, obs)
-        np.testing.assert_array_equal(a, act)
-        assert r == 1.5 and d is True
-        np.testing.assert_array_equal(no, next_obs)
+        """The one packer and the one splitter are inverses."""
+        schema = JointSchema.from_dims([4, 6], [3, 2])
+        fields = (
+            [rng.standard_normal((5, 4)), rng.standard_normal((5, 6))],
+            [rng.standard_normal((5, 3)), rng.standard_normal((5, 2))],
+            [rng.standard_normal(5), rng.standard_normal(5)],
+            [rng.standard_normal((5, 4)), rng.standard_normal((5, 6))],
+            [rng.integers(0, 2, 5).astype(float), np.ones(5)],
+        )
+        rows = schema.pack_batch(*fields)
+        assert rows.shape == (5, schema.width)
+        for k, agent_fields in enumerate(schema.split_batch(rows)):
+            for got, field in zip(agent_fields, fields):
+                np.testing.assert_array_equal(got, field[k])
 
     def test_slices_are_disjoint_and_cover(self):
         s = TransitionSchema(6, 2)

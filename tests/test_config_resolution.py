@@ -48,7 +48,6 @@ FIELD_VALUES = {
     "min_buffer_fill": (64, 128),
     "fast_path": (True, False),
     "batched_update": (True, False),
-    "shared_batch": (True, False),
     "env_workers": (0, 2),
     "storage": ("agent_major", "timestep_major"),
     "replay_shards": (1, 2),

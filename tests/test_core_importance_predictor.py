@@ -11,7 +11,6 @@ from repro.core import (
     PAPER_THRESHOLDS,
     ThresholdNeighborPredictor,
     importance_weights,
-    locality_probabilities,
 )
 
 
@@ -71,20 +70,6 @@ class TestImportanceWeights:
         probs = np.array([0.001, 0.01, 0.1])
         w = importance_weights(probs, buffer_size=100, beta=0.8)
         assert w[0] >= w[1] >= w[2]
-
-
-class TestLocalityProbabilities:
-    def test_broadcast_over_runs(self):
-        out = locality_probabilities(
-            np.array([0.1, 0.2]), np.array([2, 3]), buffer_size=100
-        )
-        np.testing.assert_allclose(out, [0.1, 0.1, 0.2, 0.2, 0.2])
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            locality_probabilities(np.array([0.1]), np.array([1, 2]), 100)
-        with pytest.raises(ValueError):
-            locality_probabilities(np.array([0.1]), np.array([0]), 100)
 
 
 class TestBetaSchedule:

@@ -136,7 +136,6 @@ class TestMiniBatch:
         mb = MiniBatch(agents=agents, indices=np.arange(6))
         assert mb.joint_obs().shape == (6, 8)
         assert mb.joint_act().shape == (6, 4)
-        assert mb.joint_next_obs().shape == (6, 8)
         np.testing.assert_array_equal(mb.joint_obs()[:, :3], agents[0].obs)
 
     def test_size_and_num_agents(self, rng):

@@ -15,7 +15,6 @@ from repro.experiments import (
     build_workload,
     env_obs_dims,
     fill_replay,
-    paper_matrix,
     reduction_rows,
     render_rows,
     run_workload,
@@ -60,19 +59,6 @@ class TestWorkloadSpec:
             tiny_spec(num_agents=0)
         with pytest.raises(ValueError):
             tiny_spec(episodes=0)
-
-    def test_paper_matrix_coverage(self):
-        specs = list(paper_matrix())
-        assert len(specs) == 2 * 2 * 4  # algos x envs x agent counts
-        keys = {s.key for s in specs}
-        assert "matd3/predator_prey/24/baseline" in keys
-
-    def test_paper_matrix_variant_filter(self):
-        specs = list(
-            paper_matrix(variant="per", algorithms=("maddpg",), agent_counts=(3,))
-        )
-        assert all(s.variant == "per" for s in specs)
-        assert len(specs) == 2
 
 
 class TestRunner:

@@ -1,15 +1,10 @@
-"""Tests for extension features: physical deception, rendering, CLI."""
+"""Tests for extension features: physical deception, CLI."""
 
 import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
-from repro.envs import (
-    PhysicalDeceptionScenario,
-    make,
-    render_episode_frame,
-    render_world,
-)
+from repro.envs import PhysicalDeceptionScenario, make
 
 
 class TestPhysicalDeception:
@@ -97,42 +92,13 @@ class TestPhysicalDeception:
             PhysicalDeceptionScenario(num_landmarks=1)
 
 
-class TestRendering:
-    def test_render_contains_entities(self):
-        env = make("predator_prey", num_agents=3, seed=0)
-        env.reset()
-        art = render_world(env.world)
-        assert art.count("P") >= 1  # predators visible
-        assert "#" in art  # landmarks visible
-        assert art.startswith("+") and art.endswith("+")
-
-    def test_render_dimensions(self):
-        env = make("cooperative_navigation", num_agents=2, seed=0)
-        env.reset()
-        art = render_world(env.world, width=21, height=7)
-        lines = art.splitlines()
-        assert len(lines) == 9  # 7 rows + 2 borders
-        assert all(len(line) == 23 for line in lines)
-
-    def test_out_of_extent_entities_clipped_not_crashing(self):
-        env = make("cooperative_navigation", num_agents=1, seed=0)
-        env.reset()
-        env.agents[0].state.p_pos = np.array([100.0, 100.0])
-        render_world(env.world)  # no exception
-
-    def test_episode_frame_includes_step_and_rewards(self):
-        env = make("cooperative_navigation", num_agents=2, seed=0)
-        env.reset()
-        frame = render_episode_frame(env.world, step=7, rewards=[1.0, -2.0])
-        assert "step 7" in frame
-        assert "+1.00" in frame and "-2.00" in frame
-
-    def test_invalid_geometry(self):
-        env = make("cooperative_navigation", num_agents=1, seed=0)
-        with pytest.raises(ValueError):
-            render_world(env.world, width=2)
-        with pytest.raises(ValueError):
-            render_world(env.world, extent=0.0)
+def assert_usage_error(capsys, command, flags, message):
+    """``repro <command> <flags>`` exits 2 through the subparser's error."""
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, *flags])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"repro {command}: error:" in err and message in err
 
 
 class TestCLI:
@@ -198,11 +164,38 @@ class TestCLI:
     def test_bad_cell_is_a_usage_error_not_a_traceback(
         self, capsys, command, flags, message
     ):
-        with pytest.raises(SystemExit) as exit_info:
-            main([command, *flags])
-        assert exit_info.value.code == 2
-        err = capsys.readouterr().err
-        assert f"repro {command}: error:" in err and message in err
+        assert_usage_error(capsys, command, flags, message)
+
+    @pytest.mark.parametrize(
+        "command,flags,message",
+        [
+            ("train", ["--copies", "0"], "--copies: must be a positive integer"),
+            ("train", ["--steps", "0"], "--steps: must be a positive integer"),
+            ("train", ["--episodes", "0"], "--episodes: must be a positive integer"),
+            ("train", ["--agents", "0"], "--agents: must be a positive integer"),
+            ("profile", ["--agents", "0"], "--agents: must be a positive integer"),
+            ("profile", ["--rounds", "0"], "--rounds: must be a positive integer"),
+            (
+                "train",
+                ["--buffer", "32", "--batch-size", "64"],
+                "buffer_capacity 32 smaller than batch_size 64",
+            ),
+            (
+                "train",
+                ["--env", "keep_away", "--batched-update"],
+                "batched_update requires homogeneous agents",
+            ),
+            (
+                "profile",
+                ["--env", "keep_away", "--batched-update"],
+                "batched_update requires homogeneous agents",
+            ),
+        ],
+    )
+    def test_bad_value_is_a_usage_error_not_a_traceback(
+        self, capsys, command, flags, message
+    ):
+        assert_usage_error(capsys, command, flags, message)
 
     def test_sample_command(self, capsys):
         code = main([

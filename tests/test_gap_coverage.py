@@ -57,22 +57,14 @@ class TestRowwiseIngest:
 
 
 class TestVectorEnvDetails:
-    def test_last_transitions_structure(self):
-        vec = SyncVectorEnv(
-            [(lambda s=s: make("cooperative_navigation", num_agents=2, seed=s)) for s in range(2)]
-        )
-        vec.reset()
-        per_env = vec.last_transitions()
-        assert len(per_env) == 2
-        assert len(per_env[0]) == 2
-        assert per_env[0][0].shape == (12,)
-
-    def test_stacked_obs_match_last_transitions(self):
+    def test_stacked_obs_match_per_copy_resets(self):
         vec = SyncVectorEnv(
             [(lambda s=s: make("cooperative_navigation", num_agents=2, seed=s)) for s in range(3)]
         )
         stacked = vec.reset()
-        per_env = vec.last_transitions()
+        per_env = [
+            make("cooperative_navigation", num_agents=2, seed=s).reset() for s in range(3)
+        ]
         for agent in range(2):
             for k in range(3):
                 np.testing.assert_array_equal(stacked[agent][k], per_env[k][agent])

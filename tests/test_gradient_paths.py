@@ -63,7 +63,7 @@ class TestCriticGradientPath:
     def test_critic_gradient_matches_finite_difference(self, rng):
         trainer = make_trainer()
         fill(trainer, rng)
-        batch = trainer._sample_for(0)
+        batch = trainer._draw_batch(0)
         target_q = trainer._target_q(0, batch)
         agent = trainer.agents[0]
 
@@ -96,7 +96,7 @@ class TestPolicyGradientPath:
     def test_actor_gradient_matches_finite_difference(self, rng, policy_reg):
         trainer = make_trainer(policy_reg=policy_reg)
         fill(trainer, rng)
-        batch = trainer._sample_for(0)
+        batch = trainer._draw_batch(0)
         agent = trainer.agents[0]
 
         # run the trainer's policy update to populate actor gradients;
@@ -130,7 +130,7 @@ class TestPolicyGradientPath:
         """The policy pass must discard its critic parameter gradients."""
         trainer = make_trainer()
         fill(trainer, rng)
-        batch = trainer._sample_for(0)
+        batch = trainer._draw_batch(0)
         trainer._update_actor(0, batch)
         for p in trainer.agents[0].critic.parameters():
             assert np.all(p.grad == 0), "critic grads leaked from the policy pass"
@@ -139,7 +139,7 @@ class TestPolicyGradientPath:
         """Agent 1's policy gradient must flow through agent 1's columns."""
         trainer = make_trainer()
         fill(trainer, rng)
-        batch = trainer._sample_for(1)
+        batch = trainer._draw_batch(1)
         agent = trainer.agents[1]
         trainer._update_actor(1, batch)
         grads = [np.abs(p.grad).sum() for p in agent.actor.parameters()]

@@ -14,7 +14,7 @@ from repro.core import (
 from repro.algos import make_sampler
 from repro.envs.factory import make_vector_env
 from repro.experiments import WorkloadSpec, run_workload
-from repro.training import compare_curves, evaluate_policy, train_steps
+from repro.training import compare_curves, run_episode, train_steps
 
 
 TINY = MARLConfig(batch_size=32, buffer_capacity=2048, update_every=20)
@@ -141,9 +141,16 @@ class TestLearningEquivalence:
         trainer = repro.make_trainer(
             "maddpg", "baseline", env.obs_dims, env.act_dims, config=cfg, seed=9
         )
-        before = evaluate_policy(env, trainer, episodes=5)
+
+        def greedy_score():
+            return np.mean([
+                np.sum(run_episode(env, trainer, explore=False, learn=False))
+                for _ in range(5)
+            ])
+
+        before = greedy_score()
         repro.train(env, trainer, episodes=60)
-        after = evaluate_policy(env, trainer, episodes=5)
+        after = greedy_score()
         assert after > before
 
 

@@ -34,7 +34,7 @@ class TestTwinMinimumConservatism:
     def test_twin_target_never_exceeds_single_critic(self, rng):
         _, matd3 = make_pair()
         feed(matd3, rng)
-        batch = matd3._sample_for(0)
+        batch = matd3._draw_batch(0)
         next_actions = matd3._target_actions(batch)
         joint_next = np.concatenate(
             [ab.next_obs for ab in batch.agents] + next_actions, axis=1
@@ -49,7 +49,7 @@ class TestTwinMinimumConservatism:
     def test_twin_min_strictly_below_mean_when_critics_disagree(self, rng):
         _, matd3 = make_pair()
         feed(matd3, rng)
-        batch = matd3._sample_for(0)
+        batch = matd3._draw_batch(0)
         next_actions = matd3._target_actions(batch)
         joint_next = np.concatenate(
             [ab.next_obs for ab in batch.agents] + next_actions, axis=1
@@ -65,7 +65,7 @@ class TestTargetSmoothing:
     def test_smoothing_perturbs_target_actions(self, rng):
         _, matd3 = make_pair()
         feed(matd3, rng)
-        batch = matd3._sample_for(0)
+        batch = matd3._draw_batch(0)
         obs = batch.agents[0].next_obs
         clean = matd3.agents[0].target_act(obs)
         noisy = matd3.agents[0].target_act(
@@ -160,7 +160,7 @@ class TestOverestimationControl:
             rew = [float(rng.standard_normal())] * 2
             for tr in (maddpg, matd3):
                 tr.experience(obs, act, rew, obs, [False, False])
-        batch_m = maddpg._sample_for(0)
+        batch_m = maddpg._draw_batch(0)
         joint_m = np.concatenate(
             [ab.next_obs for ab in batch_m.agents]
             + maddpg._target_actions(batch_m),

@@ -17,10 +17,12 @@ import signal
 import numpy as np
 import pytest
 
-from repro.buffers.multi_agent import MultiAgentReplay
+import repro
+from repro.algos import MARLConfig
 from repro.envs.factory import make_env_factories, make_vector_env
 from repro.envs.parallel import SHM_PREFIX, ParallelVectorEnv, WorkerCrashError
 from repro.envs.vector import SyncVectorEnv
+from repro.training import collect_steps
 
 ENV, N, K = "cooperative_navigation", 3, 5
 
@@ -65,62 +67,6 @@ class TestTrajectoryEquivalence:
                     np.testing.assert_array_equal(o0[a], o1[a])
                 np.testing.assert_array_equal(r0, r1)
                 np.testing.assert_array_equal(d0, d1)
-        finally:
-            par.close()
-
-    def test_transition_views_match_stream(self):
-        """The shared transition block holds exactly the (pre-step obs,
-        action, reward, post-reset next obs, done) tuple the sync path
-        would store."""
-        factories = make_env_factories(ENV, N, K, seed=3, max_episode_len=4)
-        par = ParallelVectorEnv(factories, num_workers=2)
-        try:
-            rng = np.random.default_rng(0)
-            prev_obs = par.reset()
-            for _ in range(10):
-                actions = soft_actions(par, rng)
-                next_obs, rewards, dones, _ = par.step(actions)
-                views = par.transition_views()
-                for a in range(N):
-                    obs_v, act_v, rew_v, next_v, done_v = views[a]
-                    np.testing.assert_array_equal(obs_v, prev_obs[a])
-                    np.testing.assert_array_equal(act_v, actions[a])
-                    np.testing.assert_array_equal(rew_v, rewards[:, a])
-                    np.testing.assert_array_equal(next_v, next_obs[a])
-                    np.testing.assert_array_equal(done_v > 0.5, dones[:, a])
-                prev_obs = next_obs
-        finally:
-            par.close()
-
-    def test_packed_rows_ingest_like_field_writes(self):
-        """ingest(packed_rows=packed_transitions()) == ingest(field views)
-        for both storage engines."""
-        factories = make_env_factories(ENV, N, K, seed=9)
-        par = ParallelVectorEnv(factories, num_workers=2)
-        try:
-            rng = np.random.default_rng(1)
-            par.reset()
-            packed = MultiAgentReplay(
-                par.obs_dims, par.act_dims, capacity=64, storage="timestep_major"
-            )
-            split = MultiAgentReplay(
-                par.obs_dims, par.act_dims, capacity=64, storage="agent_major"
-            )
-            for _ in range(6):
-                par.step(soft_actions(par, rng))
-                rows = par.packed_transitions()
-                packed.ingest(packed_rows=rows)
-                views = par.transition_views()
-                split.ingest(tuple([v[f] for v in views] for f in range(5)))
-            assert len(packed) == len(split) == 6 * K
-            for a in range(N):
-                pb, sb = packed.buffers[a], split.buffers[a]
-                size = len(pb)
-                np.testing.assert_array_equal(pb._obs[:size], sb._obs[:size])
-                np.testing.assert_array_equal(pb._act[:size], sb._act[:size])
-                np.testing.assert_array_equal(pb._rew[:size], sb._rew[:size])
-                np.testing.assert_array_equal(pb._next_obs[:size], sb._next_obs[:size])
-                np.testing.assert_array_equal(pb._done[:size], sb._done[:size])
         finally:
             par.close()
 
@@ -178,6 +124,58 @@ class TestFaultHandling:
                 par.step(soft_actions(par, rng))
         finally:
             par.close()
+        assert not leaked_segments()
+
+    @pytest.mark.parametrize("storage", ["agent_major", "timestep_major"])
+    def test_restart_stores_truncating_transition(self, storage):
+        """Through the driver, a restarted worker's copies store exactly
+        (pre-step obs, sent action, reward 0, post-restart reset obs,
+        done 1); every other row equals the serial run's."""
+        crash_sweep, sweeps = 2, 3
+        factories = make_env_factories(ENV, N, K, seed=4)
+        # warm-up never met: no update round, so both runs act identically
+        config = MARLConfig(
+            batch_size=8, buffer_capacity=64, min_buffer_fill=10_000, storage=storage
+        )
+
+        def stored_rows(vec):
+            trainer = repro.make_trainer(
+                "maddpg", "baseline", vec.obs_dims, vec.act_dims, config=config, seed=3
+            )
+            collect_steps(vec, trainer, sweeps)
+            return trainer.replay.gather(np.arange(sweeps * K), vectorized=True)
+
+        serial = stored_rows(SyncVectorEnv(factories))
+        par = ParallelVectorEnv(
+            factories, num_workers=2, max_restarts=1, step_timeout=20.0
+        )
+        try:
+            healthy_step = par.step
+
+            def step(actions):
+                if par._steps_done == crash_sweep:
+                    os.kill(par._procs[1].pid, signal.SIGKILL)
+                    par._procs[1].join(timeout=5.0)
+                return healthy_step(actions)
+
+            par.step = step
+            got = stored_rows(par)
+            assert par.restarts == 1
+            start, stop = par._worker_rows[1]
+        finally:
+            par.close()
+        lost = crash_sweep * K + np.arange(start, stop)
+        kept = np.setdiff1d(np.arange(sweeps * K), lost)
+        reset_obs = [factories[k]().reset() for k in range(start, stop)]
+        for a in range(N):
+            for got_field, ref_field in zip(got[a], serial[a]):
+                np.testing.assert_array_equal(got_field[kept], ref_field[kept])
+            obs, act, rew, next_obs, done = got[a]
+            np.testing.assert_array_equal(obs[lost], serial[a][0][lost])
+            np.testing.assert_array_equal(act[lost], serial[a][1][lost])
+            np.testing.assert_array_equal(rew[lost], 0.0)
+            np.testing.assert_array_equal(next_obs[lost], [o[a] for o in reset_obs])
+            np.testing.assert_array_equal(done[lost], 1.0)
         assert not leaked_segments()
 
     def test_close_is_idempotent_and_unlinks(self):

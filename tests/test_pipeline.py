@@ -114,8 +114,8 @@ class TestSerialBitIdentity:
     @pytest.mark.parametrize("algorithm", ["maddpg", "matd3"])
     @pytest.mark.parametrize("storage", ["agent_major", "timestep_major"])
     def test_parallel_collector_trains_bit_identical(self, algorithm, storage):
-        """Two worker processes (and, under timestep-major storage, the
-        packed shared-memory ingest path) reproduce the serial run."""
+        """Two worker processes reproduce the serial run on either
+        storage engine (one per-field hand-off for both)."""
         ref, _ = run_pipeline(algorithm, "baseline", 0, storage=storage)
         par, _ = run_pipeline(algorithm, "baseline", 2, storage=storage)
         assert_trainers_equal(ref, par)
@@ -171,69 +171,3 @@ class TestCollectStepsAutoReset:
             np.testing.assert_array_equal(ra._rew[:size], va._rew[:size])
             np.testing.assert_array_equal(ra._next_obs[:size], va._next_obs[:size])
             np.testing.assert_array_equal(ra._done[:size], va._done[:size])
-
-
-class TestPackedIngestFallback:
-    """ingest(packed_rows=) degradations are counted, not silent (PR 7)."""
-
-    def _packed_rows(self, replay, k=8, seed=0):
-        rng = np.random.default_rng(seed)
-        return rng.normal(size=(k, replay.schema.width))
-
-    def test_agent_major_fallback_counts_and_reports_once(self):
-        from repro.buffers.multi_agent import MultiAgentReplay
-        from repro.telemetry import memory_recorder
-
-        replay = MultiAgentReplay([4, 3], [2, 2], capacity=64, storage="agent_major")
-        recorder = memory_recorder()
-        replay.attach_telemetry(recorder)
-        replay.ingest(packed_rows=self._packed_rows(replay))
-        replay.ingest(packed_rows=self._packed_rows(replay, seed=1))
-        assert replay.packed_fallbacks == 2
-        counters = [
-            r for r in recorder.sink.of_kind("counter")
-            if r.name == "ingest.packed_fallback"
-        ]
-        assert len(counters) == 1  # one-time report
-        assert counters[0].unit == "agent_major"
-
-    def test_prioritized_arena_falls_back_with_reason(self):
-        from repro.buffers.multi_agent import MultiAgentReplay
-        from repro.telemetry import memory_recorder
-
-        replay = MultiAgentReplay(
-            [4, 3], [2, 2], capacity=64, prioritized=True, storage="timestep_major"
-        )
-        recorder = memory_recorder()
-        replay.attach_telemetry(recorder)
-        replay.ingest(packed_rows=self._packed_rows(replay))
-        assert replay.packed_fallbacks == 1
-        counters = [
-            r for r in recorder.sink.of_kind("counter")
-            if r.name == "ingest.packed_fallback"
-        ]
-        assert len(counters) == 1
-        assert counters[0].unit == "prioritized"
-
-    def test_arena_fast_path_never_falls_back(self):
-        from repro.buffers.multi_agent import MultiAgentReplay
-        from repro.telemetry import memory_recorder
-
-        replay = MultiAgentReplay([4, 3], [2, 2], capacity=64, storage="timestep_major")
-        recorder = memory_recorder()
-        replay.attach_telemetry(recorder)
-        replay.ingest(packed_rows=self._packed_rows(replay))
-        assert replay.packed_fallbacks == 0
-        assert not [
-            r for r in recorder.sink.of_kind("counter")
-            if r.name == "ingest.packed_fallback"
-        ]
-
-    def test_trainer_attach_telemetry_forwards_to_replay(self):
-        from repro.telemetry import memory_recorder
-
-        vec = make_vector_env(ENV, N, 2, seed=5, workers=0)
-        trainer = build("maddpg", "baseline", vec, small_config())
-        recorder = memory_recorder()
-        trainer.attach_telemetry(recorder)
-        assert trainer.replay._telemetry is recorder

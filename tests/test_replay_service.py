@@ -116,27 +116,6 @@ class TestPushPull:
             service.push(np.zeros((4, 7)))
 
 
-class TestHashPolicy:
-    def test_hash_routing_serves_all_rows(self):
-        with ReplayShardService(
-            OBS_DIMS,
-            ACT_DIMS,
-            capacity=256,
-            num_shards=3,
-            num_clients=1,
-            max_push=64,
-            max_batch=32,
-            policy="hash",
-        ) as svc:
-            rows = make_rows(60, seed=5)
-            svc.push(rows)
-            assert len(svc) == 60
-            assert all(s > 0 for s in svc.sizes())  # 60 draws spread over 3
-            client = svc.pull_client(0)
-            client.refresh_sizes()
-            assert_rows_were_pushed(client.sample_rows(30), rows)
-
-
 class TestStats:
     def test_counters_reconcile(self, service):
         service.push(make_rows(26, seed=6))

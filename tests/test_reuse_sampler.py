@@ -50,21 +50,6 @@ class TestReuseSemantics:
         b = sampler.sample(small_replay, rng, 16)
         assert b.size == 16 and a.size == 32
 
-    def test_invalidate(self, rng, small_replay):
-        sampler = ReuseWindowSampler(UniformSampler(), window=4)
-        a = sampler.sample(small_replay, rng, 32)
-        sampler.invalidate()
-        b = sampler.sample(small_replay, rng, 32)
-        assert b is not a
-
-    def test_invalidate_single_agent(self, rng, small_replay):
-        sampler = ReuseWindowSampler(UniformSampler(), window=4)
-        a0 = sampler.sample(small_replay, rng, 32, agent_idx=0)
-        a1 = sampler.sample(small_replay, rng, 32, agent_idx=1)
-        sampler.invalidate(agent_idx=0)
-        assert sampler.sample(small_replay, rng, 32, agent_idx=0) is not a0
-        assert sampler.sample(small_replay, rng, 32, agent_idx=1) is a1
-
     def test_reuse_ratio(self, rng, small_replay):
         sampler = ReuseWindowSampler(UniformSampler(), window=4)
         for _ in range(8):

@@ -8,7 +8,6 @@ from repro.training import (
     RunResult,
     compare_curves,
     derive_seeds,
-    evaluate_policy,
     run_episode,
     smooth_curve,
     train,
@@ -74,23 +73,6 @@ class TestTrain:
         r1 = train(*small_setup(seed=3), episodes=3)
         r2 = train(*small_setup(seed=3), episodes=3)
         np.testing.assert_allclose(r1.episode_rewards, r2.episode_rewards)
-
-
-class TestEvaluation:
-    def test_evaluate_policy_runs(self):
-        env, trainer = small_setup()
-        score = evaluate_policy(env, trainer, episodes=2)
-        assert np.isfinite(score)
-
-    def test_evaluate_does_not_learn(self):
-        env, trainer = small_setup()
-        evaluate_policy(env, trainer, episodes=2)
-        assert len(trainer.replay) == 0
-
-    def test_invalid_episode_count(self):
-        env, trainer = small_setup()
-        with pytest.raises(ValueError):
-            evaluate_policy(env, trainer, episodes=0)
 
 
 class TestSmoothing:
