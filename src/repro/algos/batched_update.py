@@ -29,31 +29,19 @@ errors, and parameter trajectories match the scalar loop to float64
 resolution (associativity of the per-parameter norm accumulation is
 preserved; remaining divergence is at the ulp level of BLAS reductions,
 see docs/architecture.md).
-
-On top of the numpy path sits optional kernel dispatch
-(:mod:`repro.nn.backend`): when a compiled backend is selected and the
-stacked nets match the paper's 3-Linear ReLU topology, the round's
-forwards/backwards, TD targets, losses, Gumbel policy gradient, Adam
-steps and Polyak updates run through fused kernels instead.  The numpy
-backend carries no kernels, so the reference path above is untouched —
-its bit-exactness guarantee is structural, not tested-for.
 """
 
 from __future__ import annotations
 
-import warnings
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from ..core.batch import MiniBatch
 from ..nn import mse_loss, softmax, weighted_mse_loss
-from ..nn.backend import get_backend
-from ..nn.module import Parameter
 from ..nn.stacked import (
     StackedLinear,
     clip_grad_norm_stacked,
-    mlp3_parameters,
     stack_adam_states,
     stack_sequentials,
 )
@@ -83,7 +71,7 @@ class BatchedUpdateEngine:
                 "for heterogeneous teams."
             )
 
-    def __init__(self, trainer, backend=None) -> None:
+    def __init__(self, trainer) -> None:
         self.check_homogeneous(trainer.obs_dims, trainer.act_dims)
         self.trainer = trainer
         self.num_agents = trainer.num_agents
@@ -117,38 +105,6 @@ class BatchedUpdateEngine:
         self.critic_optimizer = stack_adam_states(
             self._agent_critic_opts, self._critic_param_group
         )
-
-        # -- compiled-backend adapter: kernel dispatch activates only when
-        # a compiled backend is selected AND every stacked net matches the
-        # 3-Linear ReLU topology the kernels are specialized to
-        self.backend = get_backend(
-            backend if backend is not None else getattr(trainer, "backend", None)
-        )
-        self._k = None
-        self._net_params: Dict[str, Tuple[Parameter, ...]] = {}
-        if self.backend.kernels is not None:
-            nets = {
-                "actors": self.actors,
-                "target_actors": self.target_actors,
-                "critics": self.critics,
-                "target_critics": self.target_critics,
-            }
-            if self.twin:
-                nets["critics2"] = self.critics2
-                nets["target_critics2"] = self.target_critics2
-            matched = {name: mlp3_parameters(net) for name, net in nets.items()}
-            if all(p is not None for p in matched.values()):
-                self._k = self.backend.kernels
-                self._net_params = matched
-            else:
-                unmatched = sorted(n for n, p in matched.items() if p is None)
-                warnings.warn(
-                    f"backend {self.backend.name!r}: networks {unmatched} do not "
-                    "match the 3-Linear ReLU MLP the compiled kernels support; "
-                    "running the numpy reference path",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
 
     # -- step-counter synchronization ---------------------------------------------
 
@@ -269,13 +225,6 @@ class BatchedUpdateEngine:
 
         rew = np.stack([b.agents[i].rew for i, b in enumerate(batches)])
         done = np.stack([b.agents[i].done for i, b in enumerate(batches)])
-        if self._k is not None:
-            q_next = self._infer_kernel("target_critics", joint_next)
-            if self.twin:
-                q_next = np.minimum(
-                    q_next, self._infer_kernel("target_critics2", joint_next)
-                )
-            return self._k.td_target(rew, done, q_next, trainer.config.gamma)
         q_next = self.target_critics(joint_next)  # (N, B, 1)
         if self.twin:
             q_next = np.minimum(q_next, self.target_critics2(joint_next))
@@ -284,9 +233,6 @@ class BatchedUpdateEngine:
             + trainer.config.gamma * (1.0 - done[:, :, None]) * q_next
         )
 
-    #: row-block size for the kernel path's stacked inference forward
-    #: (keeps the (N, block, hidden) activations cache-resident)
-    _FORWARD_BLOCK = 2048
     #: agent-group size for the gradient passes: forward/backward run
     #: over groups of this many stacks so the (G, B, width) activations
     #: stay cache-resident (per-slice GEMMs are independent, so grouping
@@ -299,150 +245,10 @@ class BatchedUpdateEngine:
         """One drawing agent's stacked target actions ``(N_k, B, act)``;
         MATD3's smoothing ``noise`` is added to the logits."""
         x = np.stack([ab.next_obs for ab in batch.agents])
-        if self._k is not None:
-            logits = self._infer_kernel("target_actors", x)
-        else:
-            logits = self.target_actors(x)
+        logits = self.target_actors(x)
         if noise is not None:
             logits = logits + noise
         return softmax(logits)
-
-    # -- compiled-backend dispatch ------------------------------------------------------
-
-    def _kernel_values(self, key: str) -> List[np.ndarray]:
-        """Current ``(w0, b0, w1, b1, w2, b2)`` value arrays for net ``key``.
-
-        Read through the adopted :class:`Parameter` objects every call so
-        checkpoint loads (in-place ``np.copyto``) and soft updates stay
-        visible to the kernels.
-        """
-        return [p.value for p in self._net_params[key]]
-
-    def _infer_kernel(self, key: str, x: np.ndarray) -> np.ndarray:
-        """Fused inference forward through net ``key`` in row blocks.
-
-        Blocks bound the intermediate activations to ``(N, block,
-        hidden)`` so they stay cache-resident; each block is copied to
-        C-contiguous storage because the fused GEMM requires it.
-        """
-        params = self._kernel_values(key)
-        block = self._FORWARD_BLOCK
-        total = x.shape[1]
-        if total <= block:
-            return self._k.mlp3_infer(np.ascontiguousarray(x), *params)
-        out = np.empty((x.shape[0], total, params[4].shape[2]))
-        for s in range(0, total, block):
-            out[:, s : s + block] = self._k.mlp3_infer(
-                np.ascontiguousarray(x[:, s : s + block]), *params
-            )
-        return out
-
-    def _kernel_slice_loss(self, q, target_q, batches):
-        """Kernel-path per-slice losses/grads (mirrors ``_per_slice_loss``)."""
-        losses: List[float] = []
-        grad = np.empty_like(q)
-        for i in range(q.shape[0]):
-            weights = batches[i].weights
-            if weights is None:
-                loss, g = self._k.mse_loss_grad(q[i], target_q[i])
-            else:
-                loss, g = self._k.weighted_mse_loss_grad(
-                    q[i], target_q[i], weights[:, None]
-                )
-            losses.append(float(loss))
-            grad[i] = g
-        return losses, grad
-
-    def _backward_kernel(self, key: str, x, h0, h1, grad_out) -> None:
-        """Fused parameter-gradient backward for net ``key``."""
-        p = self._net_params[key]
-        self._k.mlp3_backward_params(
-            x,
-            h0,
-            h1,
-            grad_out,
-            p[2].value,
-            p[4].value,
-            p[0].grad,
-            p[1].grad,
-            p[2].grad,
-            p[3].grad,
-            p[4].grad,
-            p[5].grad,
-        )
-
-    def _critic_step_kernel(self, critic_x, target_q, batches):
-        """Kernel-path critic TD regression: fused forward, per-slice
-        losses, fused backward, fused Adam.  Same update semantics as
-        :meth:`_critic_step` (agent grouping is dropped — the kernels
-        stream per-slice GEMMs themselves)."""
-        config = self.trainer.config
-        n = self.num_agents
-        k = self._k
-        self.critic_optimizer.zero_grad()
-        h0, h1, q = k.mlp3_forward(critic_x, *self._kernel_values("critics"))
-        losses, grad = self._kernel_slice_loss(q, target_q, batches)
-        if self.twin:
-            h0b, h1b, q2 = k.mlp3_forward(
-                critic_x, *self._kernel_values("critics2")
-            )
-            losses2, grad2 = self._kernel_slice_loss(q2, target_q, batches)
-            losses = [l1 + l2 for l1, l2 in zip(losses, losses2)]
-        self._backward_kernel("critics", critic_x, h0, h1, grad)
-        if self.twin:
-            self._backward_kernel("critics2", critic_x, h0b, h1b, grad2)
-        tds = [(q[i] - target_q[i]).ravel() for i in range(n)]
-        if config.grad_clip is not None:
-            clip_grad_norm_stacked(self._critic_param_group, config.grad_clip)
-        self.critic_optimizer.step(kernels=k)
-        return losses, tds
-
-    def _actor_step_kernel(self, critic_x, batches) -> List[float]:
-        """Kernel-path policy step: fused actor forward, tempered softmax,
-        grad-through-critic, Gumbel policy gradient, fused Adam.  Mirrors
-        :meth:`_actor_step` formula for formula."""
-        trainer = self.trainer
-        config = trainer.config
-        n = self.num_agents
-        batch_size = batches[0].size
-        k = self._k
-
-        obs = np.stack([batches[i].agents[i].obs for i in range(n)])
-
-        self.actor_optimizer.zero_grad()
-        ah0, ah1, logits = k.mlp3_forward(obs, *self._kernel_values("actors"))
-        soft_action = k.softmax_temp(logits, config.gumbel_temperature)
-        # the stacked joint input has no later reader: patch it in place
-        for i in range(n):
-            start = trainer._act_offsets[i]
-            critic_x[i, :, start : start + self.act_dim] = soft_action[i]
-
-        cp = self._kernel_values("critics")
-        ch0, ch1, q = k.mlp3_forward(critic_x, *cp)
-        p_losses = [
-            float(-np.mean(q[i]))
-            + config.policy_reg * float(np.mean(logits[i] ** 2))
-            for i in range(n)
-        ]
-        grad_q = np.full_like(q, -1.0 / batch_size)
-        gx = k.mlp3_input_grad(grad_q, cp[0], cp[2], cp[4], ch0, ch1)
-        grad_soft = np.ascontiguousarray(
-            np.stack(
-                [
-                    gx[i, :, off : off + self.act_dim]
-                    for i, off in enumerate(trainer._act_offsets)
-                ]
-            )
-        )
-        coef = 2.0 * config.policy_reg / (batch_size * self.act_dim)
-        grad_logits = k.policy_grad(
-            soft_action, grad_soft, logits, config.gumbel_temperature, coef
-        )
-        self._backward_kernel("actors", obs, ah0, ah1, grad_logits)
-        if config.grad_clip is not None:
-            clip_grad_norm_stacked(self._actor_param_group, config.grad_clip)
-        self.actor_optimizer.step(kernels=k)
-        return p_losses
 
     # -- loss/update phase ------------------------------------------------------------
 
@@ -490,8 +296,6 @@ class BatchedUpdateEngine:
         return x
 
     def _critic_step(self, critic_x, target_q, batches):
-        if self._k is not None:
-            return self._critic_step_kernel(critic_x, target_q, batches)
         config = self.trainer.config
         n = self.num_agents
         losses: List[float] = [0.0] * n
@@ -525,8 +329,6 @@ class BatchedUpdateEngine:
         return losses, tds
 
     def _actor_step(self, critic_x, batches) -> List[float]:
-        if self._k is not None:
-            return self._actor_step_kernel(critic_x, batches)
         trainer = self.trainer
         config = trainer.config
         n = self.num_agents
@@ -662,24 +464,6 @@ class BatchedUpdateEngine:
 
     def _soft_update_targets(self) -> None:
         tau = self.trainer.config.tau
-        if self._k is not None:
-            pairs = [
-                (self.target_actors, self.actors),
-                (self.target_critics, self.critics),
-            ]
-            if self.twin:
-                pairs.append((self.target_critics2, self.critics2))
-            for dst, src in pairs:
-                for tp, sp in zip(dst.parameters(), src.parameters()):
-                    if tp.value.flags.c_contiguous and sp.value.flags.c_contiguous:
-                        # fused Polyak update over the raveled views;
-                        # bit-identical operation order to lerp_
-                        self._k.soft_update(
-                            tp.value.reshape(-1), sp.value.reshape(-1), tau
-                        )
-                    else:
-                        tp.lerp_(sp, tau)
-            return
         self.target_actors.soft_update_from(self.actors, tau)
         self.target_critics.soft_update_from(self.critics, tau)
         if self.twin:

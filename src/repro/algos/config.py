@@ -63,19 +63,11 @@ class MARLConfig:
     # staleness bound for async parameter broadcast: the rollout actor
     # re-polls the parameter store every this many vector sweeps
     param_staleness: int = 1
-    # compute backend for the batched update engine: "numpy" (reference,
-    # bit-exact vs the scalar loop), "numba" (fused jitted kernels,
-    # tolerance-gated; degrades to numpy with a warning when numba is
-    # not installed) or "python" (the kernel source un-jitted, for
-    # certifying the kernel path without numba)
-    backend: str = "numpy"
 
     def __post_init__(self) -> None:
         from ..buffers.storage import resolve_storage
-        from ..nn.backend import resolve_backend
 
         resolve_storage(self.storage)
-        resolve_backend(self.backend)
         if self.lr <= 0:
             raise ValueError(f"lr must be positive, got {self.lr}")
         if not 0.0 <= self.gamma <= 1.0:

@@ -25,7 +25,6 @@ from ..core.batch import MiniBatch
 from ..core.importance import BetaSchedule
 from ..core.samplers import Sampler, UniformSampler
 from ..nn import clip_grad_norm, mse_loss, weighted_mse_loss
-from ..nn.backend import get_backend
 from ..profiling.phases import (
     ACTION_SELECTION,
     BUFFER_WRITE,
@@ -56,10 +55,9 @@ class MADDPGTrainer:
         sampling engine, ``batched_update`` runs update rounds through
         the stacked-agent
         :class:`~repro.algos.batched_update.BatchedUpdateEngine`
-        (requires equal obs/act widths across agents), ``storage`` picks
-        the replay storage engine and ``backend`` the batched engine's
-        compute backend — every engine reproduces the scalar
-        agent-major numpy path's reward curves bit-for-bit.
+        (requires equal obs/act widths across agents) and ``storage``
+        picks the replay storage engine — every engine reproduces the
+        scalar agent-major path's reward curves bit-for-bit.
     sampler:
         Mini-batch sampling strategy; default is the uniform baseline
         with the reference per-index gather loop.
@@ -134,7 +132,6 @@ class MADDPGTrainer:
         # round-scoped cache of per-batch derived values
         self._round_cache: Dict[int, Tuple[MiniBatch, Dict[str, Any]]] = {}
         self.batched_update = self.config.batched_update
-        self.backend = get_backend(self.config.backend)
         self._engine: Optional[BatchedUpdateEngine] = (
             BatchedUpdateEngine(self) if self.batched_update else None
         )

@@ -135,7 +135,7 @@ def build_trainer(
     """Construct an algorithm x variant trainer on explicit dimensions.
 
     ``config`` is the one selector of every engine (sampling fast path,
-    batched update, storage, compute backend); ``seed`` is keyword-only.
+    batched update, storage); ``seed`` is keyword-only.
     """
     try:
         trainer_cls = ALGORITHMS[algorithm]

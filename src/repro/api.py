@@ -348,7 +348,6 @@ def serve(
     open_rate: Optional[float] = None,
     duration: float = 2.0,
     publish_every_ms: Optional[float] = None,
-    backend: Optional[str] = None,
     seed: int = 0,
 ) -> ServeOutcome:
     """Drive the policy-inference serving tier under simulated load.
@@ -370,7 +369,7 @@ def serve(
         mlp(obs_dim, act_dim, hidden=tuple(hidden), rng=rng)
         for _ in range(agents)
     ]
-    store = SnapshotStore(actors, backend=backend)
+    store = SnapshotStore(actors)
     store.publish_actors(actors)
     server = PolicyServer(
         store,

@@ -97,11 +97,6 @@ class BenchSpec:
     ``pytest`` (full exhibit via pytest).  ``budget_seconds`` is the
     declared time budget — enforced as a subprocess timeout for
     script/pytest kinds, advisory for inline ones.
-
-    ``warmup`` (inline kind only) runs once before the timed section —
-    compiled-backend benches use it to trigger JIT compilation so the
-    reported seconds and medians exclude compile time.  A warm-up
-    failure fails the bench.
     """
 
     name: str
@@ -111,7 +106,6 @@ class BenchSpec:
     budget_seconds: float
     metrics: Tuple[MetricSpec, ...] = ()
     runner: Optional[Callable[[], Dict[str, float]]] = None
-    warmup: Optional[Callable[[], None]] = None
     file: Optional[str] = None
     params: Dict[str, object] = field(default_factory=dict)
 
@@ -146,114 +140,6 @@ class BenchResult:
 # ---------------------------------------------------------------------------
 # inline smoke runners — seconds each, deterministic headline flags
 # ---------------------------------------------------------------------------
-
-
-def _smoke_geometry():
-    """Shared small geometry for the inline runners."""
-    from .experiments.counters_study import env_obs_dims
-
-    agents = 3
-    obs_dims = env_obs_dims("predator_prey", agents)
-    act_dims = [5] * agents
-    return agents, obs_dims, act_dims
-
-
-def _warmup_compiled_backend() -> None:
-    """JIT-compile every kernel before the timed section (numpy: no-op)."""
-    from .nn.backend import warmup_kernels
-
-    warmup_kernels("numba")  # falls back to numpy (no-op) when absent
-
-
-def _run_compiled_backend() -> Dict[str, float]:
-    """Compiled backend: graceful fallback + kernel-path equivalence.
-
-    The equivalence metrics run the kernels in python mode (the same
-    source the numba backend jits), so they gate on every host.  The
-    speedup metrics are only reported when numba is actually installed
-    — a numba-free baseline therefore never gates them.
-    """
-    import warnings
-
-    from .algos.config import MARLConfig
-    from .algos.variants import build_trainer
-    from .experiments.microbench import fill_replay
-    from .memsim import CompiledMemoryHierarchy, MemoryHierarchy
-    from .nn.backend import get_backend, kernel_backend, reset_backend_warnings
-
-    out: Dict[str, float] = {}
-
-    # requesting numba must always yield a usable backend: numba itself,
-    # or the numpy reference with provenance recorded and one warning
-    reset_backend_warnings()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        be = get_backend("numba")
-    numba_available = be.name == "numba"
-    fallback_warned = any("falling back" in str(w.message) for w in caught)
-    out["fallback_ok"] = float(numba_available or (be.name == "numpy" and fallback_warned))
-    out["numba_available"] = float(numba_available)
-
-    # update-round equivalence: python-mode kernel path vs numpy reference
-    _, obs_dims, act_dims = _smoke_geometry()
-    config = MARLConfig(
-        batch_size=128, buffer_capacity=1024, update_every=50, batched_update=True
-    )
-    trainers = {}
-    for backend in ("numpy", "python"):
-        trainer = build_trainer(
-            "maddpg", "baseline", obs_dims, act_dims,
-            config=config.scaled(backend=backend), seed=0,
-        )
-        fill_replay(trainer.replay, np.random.default_rng(0), 512)
-        for _ in range(3):
-            trainer.update(force=True)
-        trainers[backend] = trainer
-    equivalent = 1.0
-    for a, b in zip(trainers["numpy"].agents, trainers["python"].agents):
-        for net in ("actor", "critic"):
-            for pa, pb in zip(
-                getattr(a, net).parameters(), getattr(b, net).parameters()
-            ):
-                if not np.allclose(pa.value, pb.value, rtol=1e-10, atol=1e-12):
-                    equivalent = 0.0
-    out["kernel_equivalent"] = equivalent
-
-    # memsim: the array-state replica must match the reference exactly
-    rng = np.random.default_rng(1)
-    trace = rng.integers(0, 1 << 20, size=20_000)
-    oracle = MemoryHierarchy()
-    compiled = CompiledMemoryHierarchy(kernels=kernel_backend().kernels)
-    ref_counts = oracle.run(int(a) for a in trace)
-    got_counts = compiled.run(trace)
-    out["memsim_exact"] = float(ref_counts.as_dict() == got_counts.as_dict())
-
-    if numba_available:
-        # jitted speedups (free metrics; the full exhibit gates >= 5x)
-        start = time.perf_counter()
-        MemoryHierarchy().run(int(a) for a in trace)
-        ref_s = time.perf_counter() - start
-        jit_sim = CompiledMemoryHierarchy(kernels=be.kernels)
-        jit_sim.run(trace[:64])  # compile
-        start = time.perf_counter()
-        jit_sim.run(trace)
-        out["memsim_speedup"] = ref_s / max(time.perf_counter() - start, 1e-12)
-        numpy_tr = trainers["numpy"]
-        jit_tr = build_trainer(
-            "maddpg", "baseline", obs_dims, act_dims,
-            config=config.scaled(backend="numba"), seed=0,
-        )
-        fill_replay(jit_tr.replay, np.random.default_rng(0), 512)
-        jit_tr.update(force=True)  # compile remaining signatures
-        start = time.perf_counter()
-        for _ in range(3):
-            numpy_tr.update(force=True)
-        ref_s = time.perf_counter() - start
-        start = time.perf_counter()
-        for _ in range(3):
-            jit_tr.update(force=True)
-        out["update_speedup"] = ref_s / max(time.perf_counter() - start, 1e-12)
-    return out
 
 
 def _run_replay_service() -> Dict[str, float]:
@@ -437,7 +323,7 @@ def _free(name: str, unit: str = "", direction: str = "higher") -> MetricSpec:
 
 def _script_spec(file: str, description: str, budget: float = 120.0) -> BenchSpec:
     # "cli_" prefix keeps script specs distinct from the inline smoke
-    # runners that cover the same subsystem (e.g. compiled_backend)
+    # runners that cover the same subsystem (e.g. replay_service)
     name = "cli_" + file[len("bench_"):-len(".py")]
     return BenchSpec(
         name=name,
@@ -466,23 +352,6 @@ def _pytest_spec(file: str, description: str, budget: float = 600.0) -> BenchSpe
 
 REGISTRY: Tuple[BenchSpec, ...] = (
     # -- inline smoke runners (suite: smoke) -------------------------------
-    BenchSpec(
-        name="compiled_backend",
-        suite="smoke",
-        kind="inline",
-        description="compute backend: graceful fallback, kernel equivalence, memsim exactness",
-        budget_seconds=30.0,
-        runner=_run_compiled_backend,
-        warmup=_warmup_compiled_backend,
-        metrics=(
-            _gate_eq("fallback_ok"),
-            _gate_eq("kernel_equivalent"),
-            _gate_eq("memsim_exact"),
-            _free("numba_available", "bool"),
-            _free("update_speedup", "x"),
-            _free("memsim_speedup", "x"),
-        ),
-    ),
     BenchSpec(
         name="replay_service",
         suite="smoke",
@@ -543,7 +412,6 @@ REGISTRY: Tuple[BenchSpec, ...] = (
     _script_spec("bench_batched_update.py", "stacked-agent update exhibit, smoke geometry"),
     _script_spec("bench_storage_arena.py", "storage engine exhibit, smoke geometry"),
     _script_spec("bench_pipeline_overlap.py", "parallel rollout collector exhibit, smoke geometry"),
-    _script_spec("bench_compiled_backend.py", "compiled backend exhibit, smoke geometry"),
     _script_spec("bench_replay_service.py", "sharded replay service exhibit, smoke geometry"),
     _script_spec("bench_serving.py", "micro-batched serving exhibit, smoke geometry"),
     _script_spec("bench_sweep.py", "sweep orchestration exhibit, smoke geometry"),
@@ -618,14 +486,6 @@ def _run_subprocess(cmd: Sequence[str], budget: float) -> Tuple[float, bool, str
 def run_spec(spec: BenchSpec) -> BenchResult:
     """Execute one spec and normalize its outcome."""
     if spec.kind == "inline":
-        if spec.warmup is not None:
-            try:
-                spec.warmup()  # outside the timer: excludes JIT compile time
-            except Exception as exc:
-                return BenchResult(
-                    name=spec.name, seconds=0.0, metrics={}, ok=False,
-                    error=f"warmup failed: {type(exc).__name__}: {exc}",
-                )
         start = time.perf_counter()
         try:
             metrics = dict(spec.runner())
@@ -760,10 +620,9 @@ def main(args) -> int:
     if args.list:
         for spec in REGISTRY:
             head = spec.headline() or "-"
-            warmup = "yes" if spec.warmup is not None else "no"
             print(
                 f"{spec.name:<28} suite={spec.suite:<8} kind={spec.kind:<7} "
-                f"budget={spec.budget_seconds:>5.0f}s warmup={warmup:<3} "
+                f"budget={spec.budget_seconds:>5.0f}s "
                 f"headline={head}"
             )
         return 0

@@ -56,7 +56,23 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_config_flags(parser, *, backends=True) -> None:
+def _positive_float(text: str) -> float:
+    """argparse type for rate/length flags: a float > 0."""
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value:g}")
+    return value
+
+
+def _non_negative_float(text: str) -> float:
+    """argparse type for window flags where 0 is a meaningful setting."""
+    value = float(text)
+    if not value >= 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value:g}")
+    return value
+
+
+def _add_config_flags(parser) -> None:
     """Flags that map 1:1 onto MARLConfig fields.
 
     Every default is ``None`` — "flag not given" — so the resolver can
@@ -85,16 +101,6 @@ def _add_config_flags(parser, *, backends=True) -> None:
         "timestep_major (shared packed arena; bit-identical training); "
         "REPRO_STORAGE overrides the default",
     )
-    if backends:
-        parser.add_argument(
-            "--backend",
-            choices=["numpy", "numba"],
-            default=None,
-            help="compute backend for the batched update engine: numpy "
-            "(reference) or numba (fused jitted kernels; falls back to numpy "
-            "with a warning when numba is missing); REPRO_BACKEND overrides "
-            "the default",
-        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -199,11 +205,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sample = sub.add_parser("sample", help="sampling-strategy microbenchmark")
     sample.add_argument("--env", default="predator_prey")
-    sample.add_argument("--agents", type=int, default=6)
-    sample.add_argument("--batch-size", type=int, default=256)
-    sample.add_argument("--rows", type=int, default=4096)
-    sample.add_argument("--rounds", type=int, default=2)
+    sample.add_argument("--agents", type=_positive_int, default=6)
+    sample.add_argument("--batch-size", type=_positive_int, default=256)
+    sample.add_argument("--rows", type=_positive_int, default=4096)
+    sample.add_argument("--rounds", type=_positive_int, default=2)
     sample.add_argument("--seed", type=int, default=0)
+    sample.set_defaults(usage_error=sample.error)
     sample.add_argument(
         "--fast-path",
         action="store_true",
@@ -245,31 +252,31 @@ def build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser(
         "serve", help="micro-batched policy-inference serving under simulated load"
     )
-    serve.add_argument("--agents", type=int, default=4)
-    serve.add_argument("--obs-dim", type=int, default=24)
-    serve.add_argument("--act-dim", type=int, default=5)
+    serve.add_argument("--agents", type=_positive_int, default=4)
+    serve.add_argument("--obs-dim", type=_positive_int, default=24)
+    serve.add_argument("--act-dim", type=_positive_int, default=5)
     serve.add_argument(
-        "--hidden", type=int, nargs="+", default=[128, 128],
+        "--hidden", type=_positive_int, nargs="+", default=[128, 128],
         help="actor hidden widths (the served policy network)",
     )
     serve.add_argument(
-        "--users", type=int, default=1000,
+        "--users", type=_positive_int, default=1000,
         help="simulated concurrent clients (closed loop: one request in flight each)",
     )
     serve.add_argument(
-        "--requests", type=int, default=50000,
+        "--requests", type=_positive_int, default=50000,
         help="total requests for the closed-loop run",
     )
     serve.add_argument(
-        "--batch-window-ms", type=float, default=2.0,
+        "--batch-window-ms", type=_non_negative_float, default=2.0,
         help="micro-batch coalescing window; 0 = request-at-a-time baseline",
     )
     serve.add_argument(
-        "--max-batch", type=int, default=1024,
+        "--max-batch", type=_positive_int, default=1024,
         help="flush early (and cap the flush) at this many pending requests",
     )
     serve.add_argument(
-        "--max-queue-depth", type=int, default=8192,
+        "--max-queue-depth", type=_positive_int, default=8192,
         help="admission control: shed submissions beyond this backlog",
     )
     serve.add_argument(
@@ -277,25 +284,18 @@ def build_parser() -> argparse.ArgumentParser:
         help="drop requests still queued after this long instead of serving them",
     )
     serve.add_argument(
-        "--open-rate", type=float, default=None, metavar="HZ",
+        "--open-rate", type=_positive_float, default=None, metavar="HZ",
         help="open loop: issue requests at this fixed rate for --duration "
         "seconds instead of the closed loop",
     )
     serve.add_argument(
-        "--duration", type=float, default=2.0,
+        "--duration", type=_positive_float, default=2.0,
         help="open-loop run length in seconds (with --open-rate)",
     )
     serve.add_argument(
         "--publish-every-ms", type=float, default=None, metavar="MS",
         help="hot-swap demo: republish a perturbed policy snapshot at this "
         "period while the load runs",
-    )
-    serve.add_argument(
-        "--backend",
-        choices=["numpy", "numba"],
-        default=None,
-        help="compute backend for the batched serving forward "
-        "(numba falls back to numpy when missing)",
     )
     serve.add_argument("--seed", type=int, default=0)
 
@@ -381,7 +381,6 @@ _CONFIG_DESTS = (
     "fast_path",
     "batched_update",
     "storage",
-    "backend",
     "env_workers",
     "replay_shards",
     "learners",
@@ -407,15 +406,20 @@ def _resolve(args, **kwargs):
         args.usage_error(str(exc))
 
 
+def _check_env(args) -> None:
+    """Exit with a usage message on an ``--env`` the registry rejects."""
+    if args.env not in available_envs():
+        args.usage_error(
+            f"unknown environment {args.env!r}; available: {available_envs()}"
+        )
+
+
 def _check_cell(args, config) -> None:
     """Exit with a usage message, not a traceback, on an ``--env`` or
     ``--variant`` the registries reject (``make_sampler`` also checks the
     variant's geometry against the batch size) and on ``--batched-update``
     over a scenario whose agents differ in width."""
-    if args.env not in available_envs():
-        args.usage_error(
-            f"unknown environment {args.env!r}; available: {available_envs()}"
-        )
+    _check_env(args)
     try:
         make_sampler(args.variant, config.batch_size)
         if config.batched_update:
@@ -546,10 +550,14 @@ def _cmd_sample(args) -> int:
         PrioritizedSampler,
         UniformSampler,
     )
-    from .experiments.counters_study import env_obs_dims
 
-    obs_dims = env_obs_dims(args.env, args.agents)
-    act_dims = [5] * args.agents
+    _check_env(args)
+    if args.rows < args.batch_size:
+        args.usage_error(
+            f"--rows ({args.rows}) must be >= --batch-size ({args.batch_size})"
+        )
+    env = make(args.env, num_agents=args.agents, seed=args.seed)
+    obs_dims, act_dims = env.obs_dims, env.act_dims
     rng = np.random.default_rng(args.seed)
     storage = resolve_config(cli_overrides={"storage": args.storage}).config.storage
 
@@ -565,7 +573,7 @@ def _cmd_sample(args) -> int:
         storage=storage,
     )
     fill_replay(preplay, rng, args.rows)
-    for i in range(args.agents):
+    for i in range(env.num_agents):
         preplay.priority_buffer(i).update_priorities(
             range(args.rows), rng.uniform(0.01, 5.0, args.rows)
         )
@@ -579,7 +587,7 @@ def _cmd_sample(args) -> int:
         (InformationPrioritizedSampler(fast_path=fast), preplay),
     ]
     engine = "fast-path (vectorized)" if fast else "faithful (scalar loops)"
-    print(f"{args.env}, {args.agents} agents, batch {args.batch_size}, "
+    print(f"{args.env}, {env.num_agents} agents, batch {args.batch_size}, "
           f"{args.rows} rows, {args.rounds} rounds per strategy, {engine} engine")
     baseline_s: Optional[float] = None
     for sampler, target in samplers:
@@ -710,7 +718,6 @@ def _cmd_serve(args) -> int:
         open_rate=args.open_rate,
         duration=args.duration,
         publish_every_ms=args.publish_every_ms,
-        backend=resolve_config(cli_overrides={"backend": args.backend}).config.backend,
         seed=args.seed,
     )
     s = outcome.summary

@@ -10,13 +10,13 @@ and returns a :class:`ResolvedConfig` carrying both the concrete
 ``MARLConfig`` and a ``provenance`` mapping (field name → source tag)
 that the telemetry :class:`~repro.telemetry.records.RunManifest`
 records, so every measurement names where each knob came from.
-Everything below the edge (trainers, replay, env factory, backends)
-takes plain values from that config and never consults the environment.
+Everything below the edge (trainers, replay, env factory) takes plain
+values from that config and never consults the environment.
 
 Source tags are ``"cli"``, ``"env:REPRO_X"``, ``"file:<path>"``, and
 ``"default"``.  Every ``MARLConfig`` field is overridable from the
 environment as ``REPRO_<FIELD_NAME_UPPERCASED>`` (``REPRO_STORAGE``,
-``REPRO_BACKEND``, ``REPRO_ENV_WORKERS``, ``REPRO_REPLAY_SHARDS``, ...).
+``REPRO_ENV_WORKERS``, ``REPRO_REPLAY_SHARDS``, ...).
 
 Spec files are TOML (stdlib ``tomllib``) or JSON, selected by
 extension; the config table lives at the top level or under a

@@ -16,9 +16,8 @@ import numpy as np
 from ..buffers.transition import JointSchema
 from ..core.indices import Run, expand_runs
 from ..memsim.address_map import AgentMajorAddressMap, TimestepMajorAddressMap
-from ..memsim.compiled import make_hierarchy
 from ..memsim.counters import CounterModel
-from ..memsim.hierarchy import HierarchyConfig
+from ..memsim.hierarchy import HierarchyConfig, MemoryHierarchy
 from ..memsim.trace import kv_gather_trace, update_round_trace
 
 __all__ = ["CounterProfile", "simulate_sampling_counters", "env_obs_dims"]
@@ -103,7 +102,7 @@ def simulate_sampling_counters(
     schema = JointSchema.from_dims(list(obs_dims), list(act_dims))
     n = schema.num_agents
     rng = np.random.default_rng(seed)
-    sim = make_hierarchy(hierarchy)
+    sim = MemoryHierarchy(hierarchy)
     if pattern == "kv":
         tmap = TimestepMajorAddressMap(schema, capacity)
         # one O(m) gather serves all trainers; each trainer still draws

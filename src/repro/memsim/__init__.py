@@ -9,7 +9,6 @@ the paper's Figure 4 growth rates and the §VI-A cache-miss reductions.
 
 from .address_map import AgentMajorAddressMap, Region, TimestepMajorAddressMap
 from .cache import CacheConfig, CacheStats, SetAssociativeCache
-from .compiled import CompiledMemoryHierarchy, make_hierarchy
 from .counters import CounterEstimate, CounterModel
 from .hierarchy import AccessCounts, HierarchyConfig, MemoryHierarchy
 from .prefetcher import PrefetcherConfig, StridePrefetcher
@@ -39,8 +38,6 @@ __all__ = [
     "StridePrefetcher",
     "PrefetcherConfig",
     "MemoryHierarchy",
-    "CompiledMemoryHierarchy",
-    "make_hierarchy",
     "HierarchyConfig",
     "AccessCounts",
     "AgentMajorAddressMap",

@@ -19,8 +19,7 @@ from ..buffers.transition import JointSchema
 from ..core.indices import Run, expand_runs
 from .address_map import AgentMajorAddressMap
 from .cache import CacheConfig
-from .compiled import make_hierarchy
-from .hierarchy import HierarchyConfig
+from .hierarchy import HierarchyConfig, MemoryHierarchy
 from .prefetcher import PrefetcherConfig
 from .trace import trainer_gather_trace
 
@@ -72,7 +71,7 @@ def _simulate(
 ):
     rng = np.random.default_rng(seed)
     amap = AgentMajorAddressMap(schema, capacity)
-    sim = make_hierarchy(hierarchy)
+    sim = MemoryHierarchy(hierarchy)
     idx = _trace_indices(rng, capacity, batch, neighbors)
     sim.run(trainer_gather_trace(amap, idx))
     return sim
@@ -120,7 +119,7 @@ def _warm_then_measure(
     then measure a random batch — isolating *capacity* misses from the
     compulsory misses a cold batch is dominated by."""
     amap = AgentMajorAddressMap(schema, occupancy)
-    sim = make_hierarchy(hierarchy)
+    sim = MemoryHierarchy(hierarchy)
     sim.run(trainer_gather_trace(amap, range(occupancy)))  # warm-up pass
     rng = np.random.default_rng(seed)
     idx = _trace_indices(rng, occupancy, batch, neighbors)

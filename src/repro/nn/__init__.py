@@ -7,21 +7,7 @@ two-layer 64-unit ReLU MLP topology, MSE/weighted-MSE losses, and the
 Adam optimizer (lr = 0.01 per the paper's software settings).
 """
 
-from .backend import (
-    BACKENDS,
-    ComputeBackend,
-    KernelSet,
-    get_backend,
-    kernel_backend,
-    resolve_backend,
-)
-from .functional import (
-    gumbel_noise,
-    gumbel_softmax,
-    one_hot,
-    softmax,
-    softmax_temperature,
-)
+from .functional import gumbel_noise, gumbel_softmax, one_hot, softmax
 from .init import (
     get_initializer,
     he_normal,
@@ -47,19 +33,12 @@ from .optim import Adam, Optimizer, clip_grad_norm
 from .stacked import (
     StackedLinear,
     clip_grad_norm_stacked,
-    mlp3_parameters,
     single_forward,
     stack_adam_states,
     stack_sequentials,
 )
 
 __all__ = [
-    "BACKENDS",
-    "ComputeBackend",
-    "KernelSet",
-    "get_backend",
-    "kernel_backend",
-    "resolve_backend",
     "Module",
     "Parameter",
     "Linear",
@@ -84,10 +63,8 @@ __all__ = [
     "stack_sequentials",
     "clip_grad_norm_stacked",
     "stack_adam_states",
-    "mlp3_parameters",
     "one_hot",
     "softmax",
-    "softmax_temperature",
     "gumbel_noise",
     "gumbel_softmax",
     "xavier_uniform",

@@ -15,7 +15,6 @@ import numpy as np
 __all__ = [
     "one_hot",
     "softmax",
-    "softmax_temperature",
     "gumbel_noise",
     "gumbel_softmax",
 ]
@@ -41,24 +40,6 @@ def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     logits = np.asarray(logits, dtype=np.float64)
     shifted = logits - logits.max(axis=axis, keepdims=True)
     exp = np.exp(shifted)
-    return exp / exp.sum(axis=axis, keepdims=True)
-
-
-def softmax_temperature(
-    logits: np.ndarray, temperature: float, axis: int = -1
-) -> np.ndarray:
-    """Tempered softmax in the update path's expression order.
-
-    The actor step shifts by the row max *before* dividing by the
-    temperature (``exp(shifted / T)``) — mathematically equal to
-    ``softmax(logits / T)`` but not bit-equal; this helper is the numpy
-    reference for the compiled ``softmax_temp`` kernel.
-    """
-    if temperature <= 0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
-    logits = np.asarray(logits, dtype=np.float64)
-    shifted = logits - logits.max(axis=axis, keepdims=True)
-    exp = np.exp(shifted / temperature)
     return exp / exp.sum(axis=axis, keepdims=True)
 
 

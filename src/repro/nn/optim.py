@@ -77,32 +77,11 @@ class Adam(Optimizer):
         self._m = [np.zeros_like(p.value) for p in self.params]
         self._v = [np.zeros_like(p.value) for p in self.params]
 
-    def step(self, kernels=None) -> None:
+    def step(self) -> None:
         self.t += 1
         bias1 = 1.0 - self.beta1**self.t
         bias2 = 1.0 - self.beta2**self.t
         for p, m, v in zip(self.params, self._m, self._v):
-            if kernels is not None and (
-                p.value.flags.c_contiguous
-                and p.grad.flags.c_contiguous
-                and m.flags.c_contiguous
-                and v.flags.c_contiguous
-            ):
-                # fused path over raveled views; identical update order
-                # to the loop below (see backend.kernels.adam_step)
-                kernels.adam_step(
-                    p.value.reshape(-1),
-                    p.grad.reshape(-1),
-                    m.reshape(-1),
-                    v.reshape(-1),
-                    self.lr,
-                    self.beta1,
-                    self.beta2,
-                    self.eps,
-                    bias1,
-                    bias2,
-                )
-                continue
             m *= self.beta1
             m += (1.0 - self.beta1) * p.grad
             v *= self.beta2

@@ -22,7 +22,7 @@ round-trips keep working while the stacked engine trains.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -46,7 +46,6 @@ __all__ = [
     "single_forward",
     "clip_grad_norm_stacked",
     "stack_adam_states",
-    "mlp3_parameters",
 ]
 
 #: activation layers that are elementwise (or last-axis) and therefore
@@ -326,33 +325,6 @@ def single_forward(net: Sequential, s: int, x: np.ndarray) -> np.ndarray:
                 f"single_forward cannot traverse layer type {type(layer).__name__}"
             )
     return x
-
-
-def mlp3_parameters(net: Sequential) -> Optional[Tuple[Parameter, ...]]:
-    """Match a stacked 3-Linear ReLU MLP and return its parameter tuple.
-
-    The compiled backend's MLP kernels are specialized to the paper's
-    one topology — ``mlp()`` with an identity head stacks to
-    ``[StackedLinear, ReLU, StackedLinear, ReLU, StackedLinear]`` with
-    biases.  Returns ``(w0, b0, w1, b1, w2, b2)`` when ``net`` has that
-    shape, else ``None`` (callers fall back to the generic numpy path).
-    """
-    layers = list(net)
-    if len(layers) != 5:
-        return None
-    linears = layers[0], layers[2], layers[4]
-    if not all(type(l) is StackedLinear and l.has_bias for l in linears):
-        return None
-    if not all(type(l) is ReLU for l in (layers[1], layers[3])):
-        return None
-    return (
-        linears[0].weight,
-        linears[0].bias,
-        linears[1].weight,
-        linears[1].bias,
-        linears[2].weight,
-        linears[2].bias,
-    )
 
 
 def clip_grad_norm_stacked(

@@ -3,8 +3,8 @@
 Training optimizes throughput of the update round; *deployment*
 optimizes a different loop — thousands of concurrent users each asking
 for one action at a time.  This package reuses the repo's batched
-substrate (stacked homogeneous-agent networks, compiled-backend
-kernels, PhaseTimer telemetry) to serve that workload:
+substrate (stacked homogeneous-agent networks, PhaseTimer telemetry)
+to serve that workload:
 
 * :class:`SnapshotStore` / :class:`PolicySnapshot` — versioned,
   immutable policy snapshots, hot-swapped atomically as training

@@ -3,11 +3,10 @@
 The frontend accepts one observation per request — thousands of
 simulated users each asking "what should my agent do next?" — but the
 network substrate is batch-oriented: one stacked ``(N, B, dim)``
-forward amortizes dispatch, cache traffic, and (on compiled backends)
-kernel launch over the whole batch.  :class:`MicroBatcher` bridges the
-two: requests accumulate in per-agent pending lists, and a flush drains
-everything that arrived within one *batch window* into a single padded
-``(N, B, obs)`` tensor.
+forward amortizes dispatch and cache traffic over the whole batch.
+:class:`MicroBatcher` bridges the two: requests accumulate in per-agent
+pending lists, and a flush drains everything that arrived within one
+*batch window* into a single padded ``(N, B, obs)`` tensor.
 
 Admission control lives at the mouth of the queue: :meth:`submit`
 refuses (sheds) when the total backlog already holds ``max_queue_depth``

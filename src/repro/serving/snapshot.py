@@ -31,10 +31,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..nn.backend import get_backend
 from ..nn.functional import softmax
 from ..nn.layers import Linear, Sequential
-from ..nn.stacked import StackedLinear, mlp3_parameters, single_forward
+from ..nn.stacked import StackedLinear, single_forward
 
 __all__ = ["PolicySnapshot", "SnapshotStore"]
 
@@ -92,17 +91,15 @@ class PolicySnapshot:
     """One immutable published policy: stacked actors + version tag.
 
     ``forward_batch`` answers a whole micro-batch with one stacked
-    forward (dispatching the fused ``mlp3_infer`` kernel when a
-    compiled backend is selected and the topology matches);
-    ``forward_single`` is the B=1 straggler path through
+    forward; ``forward_single`` is the B=1 straggler path through
     :func:`repro.nn.stacked.single_forward`.  Both return softmax
     action distributions — the deterministic serving policy (greedy
     action = argmax), matching ``agent.act(obs, explore=False)``
-    bit for bit on the numpy path.
+    bit for bit.
     """
 
     __slots__ = ("version", "num_agents", "obs_dim", "act_dim", "net",
-                 "source_versions", "_mlp3", "_kernels")
+                 "source_versions")
 
     def __init__(
         self,
@@ -111,7 +108,6 @@ class PolicySnapshot:
         obs_dim: int,
         act_dim: int,
         source_versions: Optional[Tuple[int, ...]] = None,
-        kernels=None,
     ) -> None:
         first = net[0]
         self.version = version
@@ -120,17 +116,10 @@ class PolicySnapshot:
         self.obs_dim = obs_dim
         self.act_dim = act_dim
         self.source_versions = source_versions
-        self._mlp3 = mlp3_parameters(net)
-        self._kernels = kernels if self._mlp3 is not None else None
 
     def forward_batch(self, x: np.ndarray) -> np.ndarray:
         """Action distributions for a stacked ``(N, B, obs)`` batch."""
-        if self._kernels is not None:
-            logits = self._kernels.mlp3_infer(
-                np.ascontiguousarray(x), *(p.value for p in self._mlp3)
-            )
-        else:
-            logits = self.net(x)
+        logits = self.net(x)
         return softmax(logits)
 
     def forward_single(self, agent: int, obs: np.ndarray) -> np.ndarray:
@@ -148,7 +137,7 @@ class SnapshotStore:
     are immutable once constructed.
     """
 
-    def __init__(self, template_actors: Sequence[Sequential], backend=None) -> None:
+    def __init__(self, template_actors: Sequence[Sequential]) -> None:
         if not template_actors:
             raise ValueError("SnapshotStore needs at least one template actor")
         first = template_actors[0]
@@ -160,7 +149,6 @@ class SnapshotStore:
         self._obs_dim = linears[0].in_features
         self._act_dim = linears[-1].out_features
         self._param_shapes = [tuple(p.value.shape) for p in first.parameters()]
-        self._kernels = get_backend(backend).kernels
         self._lock = threading.Lock()
         self._current: Optional[PolicySnapshot] = None
         self._version = 0
@@ -221,7 +209,6 @@ class SnapshotStore:
                 self._obs_dim,
                 self._act_dim,
                 source_versions=source_versions,
-                kernels=self._kernels,
             )
             self._current = snapshot
             self.swaps += 1

@@ -35,6 +35,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -145,8 +146,22 @@ class RunSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "RunSpec":
+        """Inverse of ``to_dict``.  Config keys ``MARLConfig`` no longer
+        has (a spec written by an earlier commit) are dropped with one
+        warning, so old registries keep loading."""
         payload = dict(data)
-        payload["config"] = MARLConfig(**payload.get("config", {}))
+        config = dict(payload.get("config", {}))
+        retired = sorted(set(config) - set(config_field_names()))
+        if retired:
+            warnings.warn(
+                f"run {payload.get('run_id')!r}: dropping retired config "
+                f"field(s) {retired}; the run may not be re-runnable as recorded",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+            for name in retired:
+                del config[name]
+        payload["config"] = MARLConfig(**config)
         payload["overrides"] = tuple(sorted(dict(payload.get("overrides", {})).items()))
         return cls(**payload)
 

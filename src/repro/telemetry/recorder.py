@@ -100,7 +100,6 @@ class TelemetryRecorder:
         seed: Optional[int] = None,
         config: Optional[Mapping[str, Any]] = None,
         label: str = "",
-        backend: Optional[Mapping[str, Any]] = None,
         provenance: Optional[Mapping[str, str]] = None,
     ) -> Optional[RunManifest]:
         """Capture and emit the run header; returns it (None if disabled).
@@ -115,7 +114,6 @@ class TelemetryRecorder:
             seed=seed,
             config=config,
             label=label,
-            backend=backend,
             provenance=provenance if provenance is not None else self.provenance,
         )
         self.sink.emit(record)

@@ -93,10 +93,6 @@ class RunManifest:
     config: Dict[str, Any] = field(default_factory=dict)
     label: str = ""
     created_unix: float = 0.0
-    #: Compute-backend description (``ComputeBackend.describe()``): name,
-    #: compiled/jitted flags, numba version, and any fallback reason.
-    #: Defaults empty so pre-backend manifests round-trip unchanged.
-    backend: Dict[str, Any] = field(default_factory=dict)
     #: Config-field provenance from :func:`repro.configio.resolve_config`
     #: (field name → ``"cli" | "env:REPRO_X" | "file:<path>" | "default"``).
     #: Defaults empty so pre-provenance manifests round-trip unchanged.
@@ -109,15 +105,13 @@ class RunManifest:
         seed: Optional[int] = None,
         config: Optional[Mapping[str, Any]] = None,
         label: str = "",
-        backend: Optional[Mapping[str, Any]] = None,
         provenance: Optional[Mapping[str, str]] = None,
     ) -> "RunManifest":
         """Snapshot the current commit, host, and configuration.
 
         ``config`` accepts a plain mapping or a dataclass (``MARLConfig``
-        serializes via ``dataclasses.asdict``).  ``backend`` is the
-        compute-backend description dict (``ComputeBackend.describe()``);
-        ``provenance`` the resolved per-field source mapping.
+        serializes via ``dataclasses.asdict``); ``provenance`` is the
+        resolved per-field source mapping.
         """
         if config is not None and dataclasses.is_dataclass(config):
             config = dataclasses.asdict(config)
@@ -128,7 +122,6 @@ class RunManifest:
             config=dict(config) if config is not None else {},
             label=label,
             created_unix=time.time(),
-            backend=dict(backend) if backend is not None else {},
             provenance=dict(provenance) if provenance is not None else {},
         )
 
@@ -205,7 +198,9 @@ def record_from_dict(data: Mapping[str, Any]) -> Record:
     cls = _KINDS.get(kind)
     if cls is None:
         raise ValueError(f"unknown telemetry record kind {kind!r}")
-    return cls(**payload)
+    # keys a later commit retired (an old manifest's ``backend``) are dropped
+    known = {f.name for f in dataclasses.fields(cls)}
+    return cls(**{k: v for k, v in payload.items() if k in known})
 
 
 def read_jsonl(path: str) -> List[Record]:

@@ -92,9 +92,7 @@ def train(
         telemetry.manifest(
             config=trainer.config,
             label=f"train/{env_name}/{trainer.name}/{variant}",
-            backend=trainer.backend.describe(),
         )
-        telemetry.counter("backend.selected", 1.0, unit=trainer.backend.name)
     result = RunResult(
         algorithm=trainer.name,
         variant=variant,
@@ -180,9 +178,7 @@ def train_steps(
             seed=seed,
             config=config,
             label=f"train_steps/{env_name}/{trainer.name}/{variant}",
-            backend=trainer.backend.describe(),
         )
-        recorder.counter("backend.selected", 1.0, unit=trainer.backend.name)
     service = config.replay_shards > 1 or config.learners > 1
     if service and trainer.replay.prioritized:
         warnings.warn(

@@ -1,12 +1,12 @@
 """Shared fixtures for the test suite, and the CI engine matrix.
 
 CI re-runs suites on other engines by setting ``REPRO_STORAGE``,
-``REPRO_ENV_WORKERS``, ``REPRO_REPLAY_SHARDS`` or ``REPRO_BACKEND``.
+``REPRO_ENV_WORKERS`` or ``REPRO_REPLAY_SHARDS``.
 Nothing below ``repro.configio`` reads the environment, so the selection
 is made here: the variables resolve once through :func:`resolve_config`
 into :data:`ENGINE`, and the matrix suites build their configs with
 :func:`engine_config` and pass ``ENGINE[...]`` where they construct a
-replay / vector env / backend directly.  With no variable set both are
+replay / vector env directly.  With no variable set both are
 the plain defaults; tests that pin an engine keep their pin.
 """
 
@@ -20,11 +20,11 @@ from repro.buffers.multi_agent import MultiAgentReplay
 from repro.configio import resolve_config
 from repro.nn.functional import one_hot
 
-#: The engine under test: the four ``MARLConfig`` fields the CI matrix sets.
+#: The engine under test: the three ``MARLConfig`` fields the CI matrix sets.
 _RESOLVED = resolve_config().config
 ENGINE = {
     field: getattr(_RESOLVED, field)
-    for field in ("storage", "env_workers", "replay_shards", "backend")
+    for field in ("storage", "env_workers", "replay_shards")
 }
 
 

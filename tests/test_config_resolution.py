@@ -53,7 +53,6 @@ FIELD_VALUES = {
     "replay_shards": (1, 2),
     "learners": (1, 2),
     "param_staleness": (1, 4),
-    "backend": ("numpy", "numba"),
 }
 
 
@@ -165,10 +164,9 @@ class TestLayerSemantics:
         assert resolved.config.fast_path is True
 
     def test_legacy_env_vars_are_the_same_rule(self):
-        """REPRO_STORAGE / REPRO_BACKEND / REPRO_ENV_WORKERS /
-        REPRO_REPLAY_SHARDS are just env_var_for() of their fields."""
+        """REPRO_STORAGE / REPRO_ENV_WORKERS / REPRO_REPLAY_SHARDS are
+        just env_var_for() of their fields."""
         assert env_var_for("storage") == "REPRO_STORAGE"
-        assert env_var_for("backend") == "REPRO_BACKEND"
         assert env_var_for("env_workers") == "REPRO_ENV_WORKERS"
         assert env_var_for("replay_shards") == "REPRO_REPLAY_SHARDS"
         resolved = resolve_config(
@@ -176,6 +174,14 @@ class TestLayerSemantics:
         )
         assert resolved.config.storage == "timestep_major"
         assert resolved.config.replay_shards == 2
+
+    def test_retired_env_var_is_ignored_without_a_warning(self, recwarn):
+        """A shell that still exports REPRO_BACKEND keeps working: the
+        variable names no field, so nothing reads it."""
+        resolved = resolve_config(env={"REPRO_BACKEND": "numba"})
+        assert resolved.config == MARLConfig()
+        assert set(resolved.provenance.values()) == {"default"}
+        assert not recwarn.list
 
     def test_from_source_filters_by_prefix(self):
         resolved = resolve_config(
@@ -198,8 +204,12 @@ class TestRejection:
             resolve_config(cli_overrides={"nope": 1}, env={})
 
     def test_unknown_field_in_file(self):
-        with pytest.raises(ValueError, match="spec file"):
-            resolve_config(file={"config": {"nope": 1}}, env={})
+        # a typo and a retired field (``backend``, PR 22) are the same error
+        for table in ({"config": {"nope": 1}}, {"backend": "numba"}):
+            with pytest.raises(
+                ValueError, match=r"unknown config field\(s\) in spec file"
+            ):
+                resolve_config(file=table, env={})
 
     @pytest.mark.parametrize(
         "var, raw, match",
@@ -209,7 +219,6 @@ class TestRejection:
             ("REPRO_REPLAY_SHARDS", "two", "replay_shards"),
             ("REPRO_REPLAY_SHARDS", "0", ">= 1"),
             ("REPRO_STORAGE", "column_major", "unknown storage engine"),
-            ("REPRO_BACKEND", "cuda", "unknown backend"),
         ],
     )
     def test_bad_env_value(self, var, raw, match):

@@ -101,6 +101,15 @@ def assert_usage_error(capsys, command, flags, message):
     assert f"repro {command}: error:" in err and message in err
 
 
+SERVE_SAMPLE_COUNT_FLAGS = {
+    "serve": [
+        "--agents", "--obs-dim", "--act-dim", "--hidden", "--users",
+        "--requests", "--max-batch", "--max-queue-depth",
+    ],
+    "sample": ["--agents", "--batch-size", "--rows", "--rounds"],
+}
+
+
 class TestCLI:
     def test_parser_commands(self):
         parser = build_parser()
@@ -190,12 +199,48 @@ class TestCLI:
                 ["--env", "keep_away", "--batched-update"],
                 "batched_update requires homogeneous agents",
             ),
+            *[
+                (command, [flag, "0"], f"{flag}: must be a positive integer")
+                for command, flags in SERVE_SAMPLE_COUNT_FLAGS.items()
+                for flag in flags
+            ],
+            (
+                "serve",
+                ["--batch-window-ms", "-1"],
+                "--batch-window-ms: must be non-negative",
+            ),
+            ("serve", ["--open-rate", "0"], "--open-rate: must be positive"),
+            (
+                "serve",
+                ["--open-rate", "100", "--duration", "0"],
+                "--duration: must be positive",
+            ),
+            ("sample", ["--env", "nope"], "unknown environment 'nope'; available:"),
+            (
+                "sample",
+                ["--rows", "100", "--batch-size", "256"],
+                "--rows (100) must be >= --batch-size (256)",
+            ),
         ],
     )
     def test_bad_value_is_a_usage_error_not_a_traceback(
         self, capsys, command, flags, message
     ):
         assert_usage_error(capsys, command, flags, message)
+
+    def test_retired_backend_option_is_a_usage_error(self, capsys, tmp_path):
+        """PR 22 removed the option: the flag is unrecognized and a spec
+        file that still sets the field is rejected, both with exit 2."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["train", "--backend", "numpy"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --backend numpy" in capsys.readouterr().err
+        spec = tmp_path / "old.toml"
+        spec.write_text('[config]\nbackend = "numba"\n')
+        assert_usage_error(
+            capsys, "train", ["--spec", str(spec)],
+            "unknown config field(s) in spec file: ['backend']",
+        )
 
     def test_sample_command(self, capsys):
         code = main([

@@ -126,6 +126,53 @@ class TestRebuild:
         assert RunRegistry.load(tmp_path / "reg", rebuild=True).records == []
 
 
+class TestFilesFromEarlierCommits:
+    """A field retired from a dataclass must not stop old files loading."""
+
+    def test_spec_with_retired_config_fields_rebuilds(self, tmp_path):
+        registry = RunRegistry(tmp_path / "reg")
+        (run,) = make_runs(1)
+        registry.open_run(run)
+        registry.record_result(run, fake_result(run))
+        spec_path = registry.run_dir(run.run_id) / "spec.json"
+        payload = json.loads(spec_path.read_text())
+        payload["config"].update(
+            backend="python", prefetch=False, shared_batch=True
+        )
+        spec_path.write_text(json.dumps(payload))
+        with pytest.warns(RuntimeWarning) as caught:
+            rebuilt = RunRegistry.load(tmp_path / "reg", rebuild=True)
+        (warning,) = caught
+        assert "['backend', 'prefetch', 'shared_batch']" in str(warning.message)
+        assert run.run_id in str(warning.message)
+        assert [strip_time(r) for r in rebuilt.records] == [
+            strip_time(r) for r in registry.records
+        ]
+
+    def test_manifest_line_with_retired_backend_field_parses(self, tmp_path):
+        from repro.telemetry import read_jsonl
+        from repro.telemetry.records import CounterSample, RunManifest
+
+        # the first two lines of a PR 21 `repro train --telemetry` stream
+        path = tmp_path / "old.jsonl"
+        path.write_text(
+            '{"git_sha":"13518e6","platform":{"python":"3.11.7"},"seed":null,'
+            '"config":{"batch_size":16,"backend":"numpy"},'
+            '"label":"train/cooperative_navigation/maddpg/baseline",'
+            '"created_unix":1791079255.95,'
+            '"backend":{"name":"numpy","compiled":false,"jitted":false},'
+            '"provenance":{"batch_size":"cli","backend":"default"},'
+            '"schema_version":1,"kind":"manifest"}\n'
+            '{"name":"backend.selected","value":1.0,"unit":"numpy",'
+            '"at_unix":1791079255.95,"kind":"counter"}\n'
+        )
+        manifest, counter = read_jsonl(str(path))
+        assert isinstance(manifest, RunManifest)
+        assert manifest.config["backend"] == "numpy"  # free-form dict: kept
+        assert not hasattr(manifest, "backend")
+        assert isinstance(counter, CounterSample)
+
+
 class TestQueries:
     def test_final_status_takes_last_attempt(self, tmp_path):
         registry = RunRegistry(tmp_path / "reg")
