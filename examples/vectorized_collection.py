@@ -63,9 +63,10 @@ def main() -> None:
 
     # -- vectorized collection --------------------------------------------------
     # make_vector_env builds the per-copy seeded factories (seed, seed+1,
-    # ...) and picks the engine: SyncVectorEnv here (workers=0), or the
-    # process-parallel ParallelVectorEnv with --env-workers >= 2 /
-    # REPRO_ENV_WORKERS
+    # ...) and picks the engine: the serial one here (workers=0) — for
+    # this scenario BatchedVectorEnv, all copies stepped as one array
+    # program — or the process-parallel ParallelVectorEnv with
+    # --env-workers >= 2 / REPRO_ENV_WORKERS
     vec = make_vector_env(
         "cooperative_navigation", num_agents=2, copies=args.copies, seed=0
     )

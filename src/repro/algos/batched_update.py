@@ -42,6 +42,7 @@ from ..nn import mse_loss, softmax, weighted_mse_loss
 from ..nn.stacked import (
     StackedLinear,
     clip_grad_norm_stacked,
+    inference_forward,
     stack_adam_states,
     stack_sequentials,
 )
@@ -225,9 +226,12 @@ class BatchedUpdateEngine:
 
         rew = np.stack([b.agents[i].rew for i, b in enumerate(batches)])
         done = np.stack([b.agents[i].done for i, b in enumerate(batches)])
-        q_next = self.target_critics(joint_next)  # (N, B, 1)
+        # target nets never run backward: no layer keeps its input
+        q_next = inference_forward(self.target_critics, joint_next)  # (N, B, 1)
         if self.twin:
-            q_next = np.minimum(q_next, self.target_critics2(joint_next))
+            q_next = np.minimum(
+                q_next, inference_forward(self.target_critics2, joint_next)
+            )
         return (
             rew[:, :, None]
             + trainer.config.gamma * (1.0 - done[:, :, None]) * q_next
@@ -245,7 +249,7 @@ class BatchedUpdateEngine:
         """One drawing agent's stacked target actions ``(N_k, B, act)``;
         MATD3's smoothing ``noise`` is added to the logits."""
         x = np.stack([ab.next_obs for ab in batch.agents])
-        logits = self.target_actors(x)
+        logits = inference_forward(self.target_actors, x)
         if noise is not None:
             logits = logits + noise
         return softmax(logits)

@@ -47,8 +47,8 @@ class MARLConfig:
     # preserves the characterized per-agent loop
     batched_update: bool = False
     # execution pipeline: rollout worker processes stepping env copies
-    # over shared memory (0 or 1 = the serial SyncVectorEnv engine,
-    # preserving the bit-identity contract)
+    # over shared memory (0 or 1 = the serial in-process engine; every
+    # value steps bit-identical trajectories)
     env_workers: int = 0
     # replay storage engine: "agent_major" (baseline N dense rings) or
     # "timestep_major" (one shared packed TransitionArena; bit-identical

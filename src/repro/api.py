@@ -129,7 +129,7 @@ def train(
                 print(
                     f"training {algorithm}/{env_name}/{num_agents} agents "
                     f"({variant}) for {steps} vector steps x {copies} copies "
-                    f"[{type(env).__name__}, workers={max(cfg.env_workers, 1)}, "
+                    f"[{type(env).__name__}, workers={getattr(env, 'num_workers', 1)}, "
                     f"shards={cfg.replay_shards}, learners={cfg.learners}, "
                     f"staleness={cfg.param_staleness}]"
                 )

@@ -7,6 +7,7 @@ and a Gym-style multi-agent API.  Observation dimensions match the
 paper's quoted spaces (PP-3: Box(16)/Box(14); CN-N: Box(6N)).
 """
 
+from .batched import BatchedVectorEnv
 from .core import Action, Agent, AgentState, Entity, EntityState, Landmark, World, is_collision
 from .environment import NUM_MOVEMENT_ACTIONS, MultiAgentEnv
 from .factory import make_env_factories, make_vector_env
@@ -46,6 +47,7 @@ __all__ = [
     "register",
     "available_envs",
     "SyncVectorEnv",
+    "BatchedVectorEnv",
     "ParallelVectorEnv",
     "WorkerCrashError",
     "make_env_factories",

@@ -15,7 +15,18 @@ from typing import List, Optional
 
 import numpy as np
 
-__all__ = ["EntityState", "AgentState", "Action", "Entity", "Landmark", "Agent", "World"]
+__all__ = [
+    "EntityState",
+    "AgentState",
+    "Action",
+    "Entity",
+    "Landmark",
+    "Agent",
+    "World",
+    "is_collision",
+    "sum_sq",
+    "ddot_norm",
+]
 
 
 class EntityState:
@@ -205,3 +216,26 @@ def is_collision(agent_a: Agent, agent_b: Agent) -> bool:
     delta = agent_a.state.p_pos - agent_b.state.p_pos
     dist = float(np.sqrt(np.sum(delta**2)))
     return dist < agent_a.size + agent_b.size
+
+
+# -- array twins of the two scalar distance idioms above -----------------------
+# The array program (``repro.envs.batched`` and the scenarios' ``*_arrays``
+# hooks) must reproduce the per-object arithmetic bit for bit, and the object
+# code computes a 2-vector's length in two ways that do NOT round alike.
+
+
+def sum_sq(v: np.ndarray) -> np.ndarray:
+    """``np.sum(d**2)`` of every trailing 2-vector: ``x*x + y*y``."""
+    x, y = v[..., 0], v[..., 1]
+    return x * x + y * y
+
+
+def ddot_norm(v: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(d)`` of every trailing 2-vector, bit for bit.
+
+    The 1-D ``norm`` is ``sqrt(dot(d, d))`` and BLAS ``ddot`` does not round
+    like ``x*x + y*y`` (they differ in ~8 % of uniform draws).  A stacked
+    ``(1, 2) @ (2, 1)`` matmul dispatches to the same ``ddot``; ``einsum``,
+    ``norm(axis=-1)`` and the explicit sum do not.
+    """
+    return np.sqrt(np.matmul(v[..., None, :], v[..., :, None])[..., 0, 0])

@@ -4,14 +4,18 @@ Every vectorized-collection site (``examples/vectorized_collection.py``,
 the training loop, the execution-pipeline benches and tests) needs the
 same boilerplate: build K per-copy factories with decorrelated seeds,
 then wrap them in a vector env.  :func:`make_vector_env` centralizes
-that, and is the single switch between the single-process
-:class:`~repro.envs.vector.SyncVectorEnv` and the process-parallel
-:class:`~repro.envs.parallel.ParallelVectorEnv`:
+that, and is the single switch between one process and many:
 
-* ``workers <= 1`` → ``SyncVectorEnv`` (the serial engine; this is what
-  makes ``--env-workers 1`` trivially bit-identical to the serial path);
-* ``workers >= 2`` → ``ParallelVectorEnv`` with that many worker
-  processes.
+* ``workers <= 1`` → the serial engine
+  :func:`~repro.envs.batched.serial_vector_env` picks: the array program
+  :class:`~repro.envs.batched.BatchedVectorEnv` for scenarios with array
+  hooks (the two paper scenarios), the object engine
+  :class:`~repro.envs.vector.SyncVectorEnv` — its oracle — for the rest;
+* ``workers >= 2`` → :class:`~repro.envs.parallel.ParallelVectorEnv`
+  with that many worker processes, each running that same serial engine
+  over its slice of the copies.
+
+All three step bit-identical episode streams from the same factories.
 
 Callers pass ``MARLConfig.env_workers`` (the ``REPRO_ENV_WORKERS``
 environment variable reaches that field through
@@ -22,6 +26,7 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional, Union
 
+from .batched import BatchedVectorEnv, serial_vector_env
 from .environment import MultiAgentEnv
 from .parallel import ParallelVectorEnv
 from .registry import make
@@ -63,7 +68,7 @@ def make_vector_env(
     workers: int = 0,
     max_restarts: int = 0,
     **env_kwargs,
-) -> Union[SyncVectorEnv, ParallelVectorEnv]:
+) -> Union[BatchedVectorEnv, SyncVectorEnv, ParallelVectorEnv]:
     """Build a vector env over ``copies`` seeded copies of ``env_name``.
 
     ``workers`` selects the engine (see module docstring); extra keyword
@@ -72,5 +77,5 @@ def make_vector_env(
     """
     factories = make_env_factories(env_name, num_agents, copies, seed, **env_kwargs)
     if workers <= 1:
-        return SyncVectorEnv(factories)
+        return serial_vector_env(factories)
     return ParallelVectorEnv(factories, num_workers=workers, max_restarts=max_restarts)

@@ -3,8 +3,11 @@
 :class:`ParallelVectorEnv` promotes :class:`~repro.envs.vector.SyncVectorEnv`
 to a multi-process rollout engine with the *same* per-agent ``(K,
 obs_dim)`` API: K environment copies are partitioned contiguously across
-worker processes, and every cross-process field travels through one
-``multiprocessing.shared_memory`` segment of three blocks:
+worker processes, each stepping its slice with the serial engine
+:func:`~repro.envs.batched.serial_vector_env` picks (the array program
+where the scenario has array hooks), and every cross-process field
+travels through one ``multiprocessing.shared_memory`` segment of three
+blocks:
 
 * an **action block** ``(K, sum(act_dims))`` the parent writes before
   each step;
@@ -45,6 +48,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..shm import attach_unlink_guard, release_segment
+from .batched import serial_vector_env
 from .environment import MultiAgentEnv
 
 __all__ = ["ParallelVectorEnv", "WorkerCrashError"]
@@ -97,45 +101,40 @@ def _worker_main(
     obs_offsets: Sequence[int],
     conn,
 ) -> None:
-    """Worker loop: step this worker's env copies against shared blocks.
+    """Worker loop: step this worker's slice of the copies against the
+    shared blocks — one engine call plus N per-agent block writes per
+    command.
 
     Runs in a forked child; the numpy views alias the parent's shared
     segment, so writes land directly in the parent's address space.
     """
     try:
-        envs = [factory() for factory in factories]
-        num_agents = len(act_offsets)
+        # the same serial engine make_vector_env(workers <= 1) returns,
+        # over this worker's slice of the copies
+        vec = serial_vector_env(factories)
+        num_agents = vec.num_agents
+        rows = slice(row_start, row_start + vec.num_envs)
+
+        def publish(obs) -> None:
+            for a, o in enumerate(obs_offsets):
+                obs_block[rows, o : o + vec.obs_dims[a]] = obs[a]
+
         while True:
             cmd = conn.recv()
             if cmd == _CMD_RESET:
-                for j, env in enumerate(envs):
-                    obs = env.reset()
-                    row = obs_block[row_start + j]
-                    for a in range(num_agents):
-                        o = obs_offsets[a]
-                        row[o : o + len(obs[a])] = obs[a]
+                publish(vec.reset())
                 conn.send(("ok", None))
             elif cmd == _CMD_STEP:
-                infos = []
-                for j, env in enumerate(envs):
-                    k = row_start + j
-                    actions = [
-                        act_block[k, act_offsets[a] : act_offsets[a] + env.act_dims[a]]
-                        for a in range(num_agents)
-                    ]
-                    obs, rewards, dones, info = env.step(actions)
-                    if all(dones):
-                        obs = env.reset()
-                    # the observation written is the post-(auto-)reset one,
-                    # matching SyncVectorEnv; rewards and done flags belong
-                    # to the terminating step
-                    rew_done_block[k, :num_agents] = rewards
-                    rew_done_block[k, num_agents:] = dones
-                    obs_row = obs_block[k]
-                    for a in range(num_agents):
-                        o = obs_offsets[a]
-                        obs_row[o : o + len(obs[a])] = obs[a]
-                    infos.append(info)
+                actions = [
+                    act_block[rows, o : o + vec.act_dims[a]]
+                    for a, o in enumerate(act_offsets)
+                ]
+                # the observations written are the post-(auto-)reset ones;
+                # rewards and done flags belong to the terminating step
+                obs, rewards, dones, infos = vec.step(actions)
+                rew_done_block[rows, :num_agents] = rewards
+                rew_done_block[rows, num_agents:] = dones
+                publish(obs)
                 conn.send(("ok", infos))
             elif cmd == _CMD_CLOSE:
                 conn.send(("ok", None))

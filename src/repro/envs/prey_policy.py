@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Action, Agent, World
+from .core import Action, Agent, World, ddot_norm, sum_sq
 
 __all__ = ["FleePolicy", "make_prey_callback"]
 
@@ -52,12 +52,42 @@ class FleePolicy:
         action.u = force * accel
         return action
 
+    def forces(
+        self, prey_pos: np.ndarray, threat_pos: np.ndarray, accel: np.ndarray
+    ) -> np.ndarray:
+        """Array form of :meth:`__call__`: ``(K, Q, 2)`` action forces.
 
-def make_prey_callback(bound: float = 1.0, center_gain: float = 0.5):
+        ``prey_pos`` is ``(K, Q, 2)``, ``threat_pos`` the ``(K, T, 2)``
+        adversary positions, ``accel`` the prey's ``(Q,)`` accelerations.
+        Bit-identical to the per-prey call: the repulsion accumulates one
+        threat at a time, and containment / normalisation touch only the
+        prey the scalar branches would.
+        """
+        delta = prey_pos[:, :, None] - threat_pos[:, None]  # (K, Q, T, 2)
+        dist_sq = sum_sq(delta)
+        near = dist_sq < 1e-8
+        terms = np.where(
+            near[..., None],
+            (1.0, 0.0),
+            delta / np.where(near, 1.0, dist_sq)[..., None],
+        )
+        force = np.zeros_like(prey_pos)
+        for t in range(terms.shape[2]):
+            force = force + terms[:, :, t]
+        overflow = np.abs(prey_pos) > self.bound
+        force = np.where(
+            overflow.any(axis=-1, keepdims=True),
+            force - self.center_gain * prey_pos * overflow,
+            force,
+        )
+        norm = ddot_norm(force)
+        moving = norm > 1e-8
+        force = np.where(
+            moving[..., None], force / np.where(moving, norm, 1.0)[..., None], force
+        )
+        return force * accel[:, None]
+
+
+def make_prey_callback(bound: float = 1.0, center_gain: float = 0.5) -> FleePolicy:
     """Build an ``action_callback`` suitable for ``Agent.action_callback``."""
-    policy = FleePolicy(bound=bound, center_gain=center_gain)
-
-    def callback(agent: Agent, world: World) -> Action:
-        return policy(agent, world)
-
-    return callback
+    return FleePolicy(bound=bound, center_gain=center_gain)

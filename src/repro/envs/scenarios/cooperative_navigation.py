@@ -17,8 +17,8 @@ from typing import Optional
 
 import numpy as np
 
-from ..core import Agent, Landmark, World, is_collision
-from ..scenario import BaseScenario
+from ..core import Agent, Landmark, World, ddot_norm, is_collision, sum_sq
+from ..scenario import BaseScenario, others_index
 
 __all__ = ["CooperativeNavigationScenario"]
 
@@ -37,6 +37,7 @@ class CooperativeNavigationScenario(BaseScenario):
         self.num_agents = num_agents
         self.num_landmarks = num_agents if num_landmarks is None else num_landmarks
         self.collision_penalty = collision_penalty
+        self._others = others_index(num_agents, num_agents)
 
     def make_world(self, rng: np.random.Generator) -> World:
         world = World()
@@ -110,3 +111,48 @@ class CooperativeNavigationScenario(BaseScenario):
             for lm in world.landmarks
         ]
         return {"collisions": collisions, "coverage": -sum(min_dists)}
+
+    # -- array hooks (the same task over all K copies; see BaseScenario) -----
+
+    def reset_arrays(self, rng: np.random.Generator, p_pos: np.ndarray) -> None:
+        # one (E, 2) draw is the same stream as reset_world's per-entity
+        # size-2 draws, agents first
+        p_pos[:] = rng.uniform(-1.0, +1.0, p_pos.shape)
+
+    def observe_arrays(self, p_pos: np.ndarray, p_vel: np.ndarray) -> np.ndarray:
+        k, n = p_pos.shape[0], self.num_agents
+        agents = p_pos[:, :n]
+        own = agents[:, :, None]
+        landmark_rel = p_pos[:, None, n:] - own
+        other_rel = agents[:, self._others] - own
+        # the comm block is every other agent's utterance, which the env
+        # zeroes on every step (no scenario action writes ``action.c``)
+        comm = np.zeros((k, n, 2 * (n - 1)))
+        return np.concatenate(
+            [
+                p_vel[:, :n],
+                agents,
+                landmark_rel.reshape(k, n, -1),
+                other_rel.reshape(k, n, -1),
+                comm,
+            ],
+            axis=2,
+        )
+
+    def reward_arrays(self, p_pos: np.ndarray, size: np.ndarray) -> np.ndarray:
+        n = self.num_agents
+        agents = p_pos[:, :n]
+        # (K, N, L) agent-to-landmark distances; the shared term adds up
+        # landmark by landmark, as the scalar loop does
+        nearest = ddot_norm(agents[:, :, None] - p_pos[:, None, n:]).min(axis=1)
+        shared = np.zeros(p_pos.shape[0])
+        for lm in range(nearest.shape[1]):
+            shared = shared - nearest[:, lm]
+        rew = np.repeat(shared[:, None], n, axis=1)
+        dist = np.sqrt(sum_sq(agents[:, :, None] - agents[:, None]))
+        hit = dist < size[:n, None] + size[None, :n]
+        hit[:, np.arange(n), np.arange(n)] = False
+        # one partner at a time: (rew - p) - p, never rew - 2 * p
+        for j in np.flatnonzero(hit.any(axis=(0, 1))):
+            rew = np.where(hit[:, :, j], rew - self.collision_penalty, rew)
+        return rew

@@ -20,8 +20,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..core import Agent, Landmark, World, is_collision
-from ..scenario import BaseScenario
+from ..core import Agent, Landmark, World, ddot_norm, is_collision, sum_sq
+from ..scenario import BaseScenario, others_index
 
 __all__ = ["PredatorPreyScenario", "default_prey_counts"]
 
@@ -71,6 +71,7 @@ class PredatorPreyScenario(BaseScenario):
         if self.num_prey < 1:
             raise ValueError("predator-prey needs at least one prey")
         self.shaped = shaped
+        self._others = others_index(num_predators, num_predators + self.num_prey)
 
     # -- construction -------------------------------------------------------
 
@@ -193,3 +194,50 @@ class PredatorPreyScenario(BaseScenario):
                 1 for prey in self.preys(world) if is_collision(prey, agent)
             )
         return {"collisions": collisions}
+
+    # -- array hooks (the same task over all K copies; see BaseScenario) -----
+    # The learning agents are the predators: the hooks cover the scripted-
+    # prey setup, where every prey is environment-controlled.
+
+    def reset_arrays(self, rng: np.random.Generator, p_pos: np.ndarray) -> None:
+        # an agents block then a landmarks block: the same stream as
+        # reset_world's per-entity size-2 draws
+        a = self.num_predators + self.num_prey
+        p_pos[:a] = rng.uniform(-1.0, +1.0, (a, 2))
+        p_pos[a:] = rng.uniform(-0.9, +0.9, (len(p_pos) - a, 2))
+
+    def observe_arrays(self, p_pos: np.ndarray, p_vel: np.ndarray) -> np.ndarray:
+        k, n = p_pos.shape[0], self.num_predators
+        a = n + self.num_prey
+        own = p_pos[:, :n, None]
+        landmark_rel = p_pos[:, None, a:] - own
+        other_rel = p_pos[:, self._others] - own
+        prey_vel = np.broadcast_to(
+            p_vel[:, None, n:a].reshape(k, 1, -1), (k, n, 2 * self.num_prey)
+        )
+        return np.concatenate(
+            [
+                p_vel[:, :n],
+                p_pos[:, :n],
+                landmark_rel.reshape(k, n, -1),
+                other_rel.reshape(k, n, -1),
+                prey_vel,
+            ],
+            axis=2,
+        )
+
+    def reward_arrays(self, p_pos: np.ndarray, size: np.ndarray) -> np.ndarray:
+        n = self.num_predators
+        a = n + self.num_prey
+        delta = p_pos[:, :n, None] - p_pos[:, None, n:a]  # (K, N, Q, 2)
+        shared = np.zeros(p_pos.shape[0])
+        if self.shaped:
+            nearest = ddot_norm(delta).min(axis=1)
+            for q in range(self.num_prey):
+                shared = shared - 0.1 * nearest[:, q]
+        rew = np.repeat(shared[:, None], n, axis=1)
+        caught = np.sqrt(sum_sq(delta)) < size[:n, None] + size[None, n:a]
+        # one prey at a time: (rew + 10) + 10, never rew + 20
+        for q in np.flatnonzero(caught.any(axis=(0, 1))):
+            rew = np.where(caught[:, :, q], rew + 10.0, rew)
+        return rew

@@ -10,6 +10,12 @@ GPU does in the paper's setup.
 
 Episodes auto-reset: when a copy's episode terminates, it is reset
 before the next step, and its terminal flag is reported once.
+
+This object-per-entity engine is the oracle and the engine for scenarios
+without array hooks: :class:`~repro.envs.batched.BatchedVectorEnv` steps
+the same K copies as one array program and is tested byte for byte
+against it; :func:`~repro.envs.batched.serial_vector_env` falls back to
+it for whatever the array program does not mirror.
 """
 
 from __future__ import annotations

@@ -33,6 +33,7 @@ from .optim import Adam, Optimizer, clip_grad_norm
 from .stacked import (
     StackedLinear,
     clip_grad_norm_stacked,
+    inference_forward,
     single_forward,
     stack_adam_states,
     stack_sequentials,
@@ -60,6 +61,7 @@ __all__ = [
     "clip_grad_norm",
     "StackedLinear",
     "single_forward",
+    "inference_forward",
     "stack_sequentials",
     "clip_grad_norm_stacked",
     "stack_adam_states",

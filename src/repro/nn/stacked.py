@@ -44,6 +44,7 @@ __all__ = [
     "StackedLinear",
     "stack_sequentials",
     "single_forward",
+    "inference_forward",
     "clip_grad_norm_stacked",
     "stack_adam_states",
 ]
@@ -288,6 +289,27 @@ def stack_sequentials(nets: Sequence[Sequential]) -> Sequential:
     return Sequential(*layers)
 
 
+def _activate(layer: Module, x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Stateless activation dispatch shared by the inference forwards;
+    ``out=x`` lets ReLU overwrite an input the caller owns."""
+    if isinstance(layer, ReLU):
+        return np.maximum(x, 0.0, out=out)
+    if isinstance(layer, LeakyReLU):
+        return np.where(x > 0, x, layer.negative_slope * x)
+    if isinstance(layer, Tanh):
+        return np.tanh(x)
+    if isinstance(layer, Sigmoid):
+        return 1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
+    if isinstance(layer, Softmax):
+        exp = np.exp(x - x.max(axis=-1, keepdims=True))
+        return exp / exp.sum(axis=-1, keepdims=True)
+    if isinstance(layer, Identity):
+        return x
+    raise TypeError(
+        f"inference forward cannot traverse layer type {type(layer).__name__}"
+    )
+
+
 def single_forward(net: Sequential, s: int, x: np.ndarray) -> np.ndarray:
     """One row through slice ``s`` of a stacked network (B=1 fast path).
 
@@ -306,24 +328,31 @@ def single_forward(net: Sequential, s: int, x: np.ndarray) -> np.ndarray:
     for layer in net:
         if isinstance(layer, StackedLinear):
             x = layer.forward_single(x, s)
-        elif isinstance(layer, ReLU):
-            x = np.maximum(x, 0.0)
-        elif isinstance(layer, LeakyReLU):
-            x = np.where(x > 0, x, layer.negative_slope * x)
-        elif isinstance(layer, Tanh):
-            x = np.tanh(x)
-        elif isinstance(layer, Sigmoid):
-            x = 1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
-        elif isinstance(layer, Softmax):
-            shifted = x - x.max(axis=-1, keepdims=True)
-            exp = np.exp(shifted)
-            x = exp / exp.sum(axis=-1, keepdims=True)
-        elif isinstance(layer, Identity):
-            pass
         else:
-            raise TypeError(
-                f"single_forward cannot traverse layer type {type(layer).__name__}"
-            )
+            x = _activate(layer, x)
+    return x
+
+
+def inference_forward(net: Sequential, x: np.ndarray) -> np.ndarray:
+    """A stacked ``(S, B, in)`` batch through ``net`` with no backward cache.
+
+    Bit-identical to ``net(x)``, for networks that never run ``backward``
+    (target actors / critics, published policy snapshots):
+    ``Sequential.forward`` parks every layer's input in ``_x`` until the
+    next call — at B = 1024 that pins tens of MB per target network
+    between update rounds, and mutates a snapshot other threads are
+    reading.  Here nothing outlives the call, and ReLU clamps the matmul
+    output it follows in place instead of allocating its own.
+    """
+    owned = False  # x is a temporary this function allocated
+    for layer in net:
+        if isinstance(layer, StackedLinear):
+            x = np.matmul(x, layer.weight.value)
+            if layer.has_bias:
+                x += layer.bias.value[:, None, :]
+            owned = True
+        else:
+            x = _activate(layer, x, out=x if owned else None)
     return x
 
 

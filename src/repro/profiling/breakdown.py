@@ -13,6 +13,7 @@ from typing import Dict, Mapping
 
 from .phases import (
     ACTION_SELECTION,
+    ENV_STEP,
     LOSS_UPDATE,
     SAMPLING,
     TARGET_Q,
@@ -32,6 +33,10 @@ class EndToEndBreakdown:
     action_selection_pct: float
     update_all_trainers_pct: float
     other_pct: float
+    #: the part of ``other`` spent stepping the environment; 0 when the
+    #: driver recorded no ``env_step`` phase (the oracle episode loop).
+    #: Not one of the paper's three bars, so not in :meth:`as_dict`.
+    env_step_pct: float = 0.0
 
     def as_dict(self) -> Dict[str, float]:
         return {
@@ -42,11 +47,12 @@ class EndToEndBreakdown:
         }
 
     def render(self) -> str:
+        env_step = f" (env step {self.env_step_pct:.1f}%)" if self.env_step_pct else ""
         return (
             f"total {self.total_seconds:.2f}s | "
             f"action selection {self.action_selection_pct:.1f}% | "
             f"update all trainers {self.update_all_trainers_pct:.1f}% | "
-            f"other {self.other_pct:.1f}%"
+            f"other {self.other_pct:.1f}%{env_step}"
         )
 
 
@@ -111,6 +117,7 @@ def end_to_end_breakdown(timer: PhaseTimer, total_seconds: float) -> EndToEndBre
         action_selection_pct=action / total_seconds * 100.0,
         update_all_trainers_pct=update / total_seconds * 100.0,
         other_pct=other / total_seconds * 100.0,
+        env_step_pct=totals.get(ENV_STEP, 0.0) / total_seconds * 100.0,
     )
 
 

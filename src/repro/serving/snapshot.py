@@ -33,7 +33,7 @@ import numpy as np
 
 from ..nn.functional import softmax
 from ..nn.layers import Linear, Sequential
-from ..nn.stacked import StackedLinear, single_forward
+from ..nn.stacked import StackedLinear, inference_forward, single_forward
 
 __all__ = ["PolicySnapshot", "SnapshotStore"]
 
@@ -119,8 +119,7 @@ class PolicySnapshot:
 
     def forward_batch(self, x: np.ndarray) -> np.ndarray:
         """Action distributions for a stacked ``(N, B, obs)`` batch."""
-        logits = self.net(x)
-        return softmax(logits)
+        return softmax(inference_forward(self.net, x))
 
     def forward_single(self, agent: int, obs: np.ndarray) -> np.ndarray:
         """Action distribution for one agent's lone request (B=1 path)."""

@@ -3,7 +3,9 @@
 :func:`collect_steps` is the one sweep body of the step-driven driver:
 action selection runs ONE batched actor forward per agent for all K
 copies (amortizing the phase the paper offloads to the GPU), the vector
-env (:class:`~repro.envs.vector.SyncVectorEnv` or the process-parallel
+env (whatever :func:`~repro.envs.factory.make_vector_env` built: the
+array program :class:`~repro.envs.batched.BatchedVectorEnv`, its object
+oracle :class:`~repro.envs.vector.SyncVectorEnv`, or the process-parallel
 :class:`~repro.envs.parallel.ParallelVectorEnv`) advances every copy,
 and the sweep's K transitions are handed off as the per-agent field
 stacks ``(obs, act, rew, next_obs, done)`` — the one shape a sweep takes

@@ -26,6 +26,7 @@ from repro.nn import (
     StackedLinear,
     clip_grad_norm,
     clip_grad_norm_stacked,
+    inference_forward,
     single_forward,
     stack_adam_states,
     stack_sequentials,
@@ -394,6 +395,28 @@ class TestSingleRowFastPath:
         assert first._x is None  # stateless: training backward unaffected
         with pytest.raises(RuntimeError):
             first.backward(rng.normal(size=(2, 1, 3)))
+
+    @pytest.mark.parametrize("bias", [True, False])
+    def test_inference_forward_bitwise_and_cacheless(self, rng, bias):
+        nets = [
+            Sequential(
+                Linear(6, 9, rng=rng, bias=bias),
+                ReLU(),
+                Linear(9, 9, rng=rng, bias=bias),
+                ReLU(),
+                Linear(9, 3, rng=rng, bias=bias),
+            )
+            for _ in range(3)
+        ]
+        x = rng.normal(size=(3, 5, 6))
+        expected = stack_sequentials(nets)(x)
+        fresh = stack_sequentials(nets)  # no forward has touched its caches
+        kept = x.copy()
+        np.testing.assert_array_equal(inference_forward(fresh, x), expected)
+        np.testing.assert_array_equal(x, kept)  # in-place ReLU never hits the input
+        assert all(layer._x is None for layer in fresh)
+        with pytest.raises(RuntimeError):
+            fresh[0].backward(rng.normal(size=(3, 5, 9)))
 
     def test_from_arrays_adopts_without_copy(self, rng):
         weight = rng.normal(size=(3, 4, 2))

@@ -1,5 +1,7 @@
 """Tests for extension features: physical deception, CLI."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -149,6 +151,26 @@ class TestCLI:
 
         result = RunResult.from_json(json_path)
         assert result.episodes == 3
+
+    @pytest.mark.parametrize(
+        "flags,engine",
+        [
+            ([], "[BatchedVectorEnv, workers=1,"),
+            (["--env", "keep_away"], "[SyncVectorEnv, workers=1,"),
+            # the banner reports the engine's worker count, clamped to the copies
+            (["--env-workers", "4"], "[ParallelVectorEnv, workers=2,"),
+        ],
+    )
+    def test_step_driven_train_names_its_env_engine(self, capsys, flags, engine):
+        code = main([
+            "train", "--steps", "20", "--copies", "2", "--batch-size", "16",
+            "--buffer", "256", "--update-every", "10", *flags,
+        ])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert engine in out
+        # the env step is shown as a part of "other", not folded into it
+        assert re.search(r"\| other \d+\.\d% \(env step \d+\.\d%\)", out)
 
     def test_profile_command(self, capsys):
         code = main([

@@ -19,6 +19,7 @@ import pytest
 
 import repro
 from repro.algos import MARLConfig
+from repro.envs.batched import BatchedVectorEnv
 from repro.envs.factory import make_env_factories, make_vector_env
 from repro.envs.parallel import SHM_PREFIX, ParallelVectorEnv, WorkerCrashError
 from repro.envs.vector import SyncVectorEnv
@@ -193,9 +194,9 @@ class TestFaultHandling:
 class TestFactory:
     def test_engine_selection(self):
         sync = make_vector_env(ENV, N, 3, seed=0, workers=0)
-        assert isinstance(sync, SyncVectorEnv)
+        assert isinstance(sync, BatchedVectorEnv)
         one = make_vector_env(ENV, N, 3, seed=0, workers=1)
-        assert isinstance(one, SyncVectorEnv)
+        assert isinstance(one, BatchedVectorEnv)
         par = make_vector_env(ENV, N, 3, seed=0, workers=2)
         try:
             assert isinstance(par, ParallelVectorEnv)

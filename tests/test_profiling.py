@@ -7,6 +7,7 @@ import pytest
 
 from repro.profiling import (
     ACTION_SELECTION,
+    ENV_STEP,
     PhaseTimer,
     SAMPLING,
     TARGET_Q,
@@ -262,6 +263,15 @@ class TestBreakdowns:
         timer = self.make_timer()
         assert "%" in end_to_end_breakdown(timer, 10.0).render()
         assert "sampling" in update_breakdown(timer).render()
+
+    def test_env_step_is_shown_as_a_part_of_other(self):
+        timer = self.make_timer()
+        assert "env step" not in end_to_end_breakdown(timer, 10.0).render()
+        timer.add(ENV_STEP, 1.5)
+        b = end_to_end_breakdown(timer, 10.0)
+        assert b.env_step_pct == pytest.approx(15.0)
+        assert b.other_pct == pytest.approx(20.0)  # the three bars are unchanged
+        assert b.render().endswith("other 20.0% (env step 15.0%)")
 
     def test_as_dict_keys(self):
         d = end_to_end_breakdown(self.make_timer(), 10.0).as_dict()
