@@ -20,6 +20,7 @@ from repro.training import train
 
 AGENT_COUNTS = (3, 6, 12)
 EPISODES = 3
+REPETITIONS = 5
 
 #: paper Fig. 9 total-time reductions, MADDPG PP: {n: (n16r64, n64r16)}
 PAPER_FIG9_PP = {
@@ -59,15 +60,16 @@ def bench_fig9_e2e_reduction(benchmark):
 
     def run_all():
         # wall-clock noise on a shared core swamps 3-episode runs; the min
-        # of two repetitions is a stable location estimate for timings
+        # of a few repetitions is a stable location estimate for timings.
+        # Every arm gets the same number, interleaved (baseline, variant,
+        # variant, baseline, ...), so a drift in host load lands on all
+        # arms alike instead of on whichever ran last.
         for n in AGENT_COUNTS:
-            totals[("baseline", n)] = min(
-                _train_variant("baseline", n) for _ in range(3)
-            )
-            for variant in VARIANTS:
-                totals[(variant, n)] = min(
-                    _train_variant(variant, n) for _ in range(2)
-                )
+            for _ in range(REPETITIONS):
+                for variant in ("baseline", *VARIANTS):
+                    seconds = _train_variant(variant, n)
+                    key = (variant, n)
+                    totals[key] = min(totals.get(key, seconds), seconds)
         return totals
 
     benchmark.pedantic(run_all, rounds=1, iterations=1)

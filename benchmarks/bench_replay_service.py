@@ -16,42 +16,29 @@ is guarded on ``os.cpu_count() >= 4``; smaller hosts still verify the
 correctness signals (row conservation, per-shard counter reconciliation,
 clean shutdown) and print measured ratios for the record.  A short
 ``train_steps`` run reports end-to-end learner utilization alongside.
-
-``python benchmarks/bench_replay_service.py --smoke`` runs a reduced
-geometry for CI, gating only the correctness signals.
 """
 
 from __future__ import annotations
 
-import argparse
 import multiprocessing
 import os
-import sys
 import time
 
 import numpy as np
 
 import repro
+from conftest import print_exhibit
 from repro.algos.config import MARLConfig
 from repro.buffers.transition import JointSchema
 from repro.envs.factory import make_vector_env
 from repro.replay import ReplayShardService
 from repro.training import train_steps
 
-try:  # pytest runs from benchmarks/, __main__ from anywhere
-    from conftest import print_exhibit
-except ImportError:  # pragma: no cover - __main__ --smoke path
-    sys.path.insert(0, __file__.rsplit("/", 1)[0])
-    from conftest import print_exhibit
-
-FULL_OBS, FULL_ACT = [10] * 8, [2] * 8
-FULL_PREFILL = 8_192
-FULL_BATCH = 256
-FULL_PULLS = 150
-SMOKE_OBS, SMOKE_ACT = [6] * 4, [2] * 4
-SMOKE_PREFILL = 1_024
-SMOKE_BATCH = 64
-SMOKE_PULLS = 40
+OBS_DIMS, ACT_DIMS = [10] * 8, [2] * 8
+PREFILL = 8_192
+BATCH = 256
+PULLS = 150
+SCALED_SHARDS = 4
 
 #: >= 4 usable cores: 4 shard servers + 2 pullers can actually overlap.
 QUAD_CORE = (os.cpu_count() or 1) >= 4
@@ -81,22 +68,19 @@ def _puller_main(client, pulls: int, batch: int, max_id: int, conn) -> None:
         conn.send(("error", repr(exc), 0.0))
 
 
-def _measure_topology(
-    obs_dims, act_dims, shards: int, clients: int, prefill: int,
-    pulls: int, batch: int,
-):
+def _measure_topology(shards: int, clients: int):
     """Aggregate rows/s across `clients` concurrent pullers."""
-    width = JointSchema.from_dims(obs_dims, act_dims).width
-    rows = _prefill_rows(width, prefill)
+    width = JointSchema.from_dims(OBS_DIMS, ACT_DIMS).width
+    rows = _prefill_rows(width, PREFILL)
     ctx = multiprocessing.get_context("fork")
     with ReplayShardService(
-        obs_dims,
-        act_dims,
-        capacity=prefill,
+        OBS_DIMS,
+        ACT_DIMS,
+        capacity=PREFILL,
         num_shards=shards,
         num_clients=clients,
-        max_push=min(prefill, 1024),
-        max_batch=batch,
+        max_push=min(PREFILL, 1024),
+        max_batch=BATCH,
         seed=0,
     ) as service:
         service.push(rows)
@@ -105,7 +89,7 @@ def _measure_topology(
             parent, child = ctx.Pipe()
             proc = ctx.Process(
                 target=_puller_main,
-                args=(service.pull_client(c), pulls, batch, prefill, child),
+                args=(service.pull_client(c), PULLS, BATCH, PREFILL, child),
                 daemon=True,
             )
             proc.start()
@@ -128,13 +112,13 @@ def _measure_topology(
             proc.join(timeout=30)
         stats = service.stats()
         sampled = sum(s["sampled"] for s in stats)
-        expected = clients * pulls * batch
+        expected = clients * PULLS * BATCH
         if not failures:
             if total_rows != expected:
                 failures.append(f"pulled {total_rows} rows, expected {expected}")
             if sampled != expected:
                 failures.append(f"shards served {sampled} rows, expected {expected}")
-            if sum(s["ingested"] for s in stats) != prefill:
+            if sum(s["ingested"] for s in stats) != PREFILL:
                 failures.append("ingest counters lost rows")
     return {
         "rows_per_s": total_rows / max(wall, 1e-12),
@@ -144,10 +128,10 @@ def _measure_topology(
     }
 
 
-def _utilization_run(smoke: bool):
+def _utilization_run():
     """Short service-mode train_steps run for the end-to-end utilization figure."""
     config = MARLConfig(
-        batch_size=32 if smoke else 64,
+        batch_size=64,
         buffer_capacity=4_096,
         update_every=20,
         min_buffer_fill=64,
@@ -160,25 +144,11 @@ def _utilization_run(smoke: bool):
         "maddpg", "baseline", vec.obs_dims, vec.act_dims, config=config, seed=3
     )
     try:
-        result = train_steps(vec, trainer, 40 if smoke else 80, seed=5)
+        result = train_steps(vec, trainer, 80, seed=5)
     finally:
         if hasattr(vec, "close"):
             vec.close()
     return result
-
-
-def _measure(smoke: bool):
-    obs_dims = SMOKE_OBS if smoke else FULL_OBS
-    act_dims = SMOKE_ACT if smoke else FULL_ACT
-    prefill = SMOKE_PREFILL if smoke else FULL_PREFILL
-    pulls = SMOKE_PULLS if smoke else FULL_PULLS
-    batch = SMOKE_BATCH if smoke else FULL_BATCH
-    base = _measure_topology(obs_dims, act_dims, 1, 1, prefill, pulls, batch)
-    scaled_shards = 2 if smoke else 4
-    scaled = _measure_topology(
-        obs_dims, act_dims, scaled_shards, 2, prefill, pulls, batch
-    )
-    return base, scaled, scaled_shards
 
 
 def bench_replay_service(benchmark):
@@ -186,19 +156,20 @@ def bench_replay_service(benchmark):
     result = {}
 
     def run():
-        result["runs"] = _measure(smoke=False)
-        result["train"] = _utilization_run(smoke=False)
+        result["base"] = _measure_topology(1, 1)
+        result["scaled"] = _measure_topology(SCALED_SHARDS, 2)
+        result["train"] = _utilization_run()
         return result
 
     benchmark.pedantic(run, rounds=1, iterations=1)
-    base, scaled, scaled_shards = result["runs"]
+    base, scaled = result["base"], result["scaled"]
     train = result["train"]
     ratio = scaled["rows_per_s"] / max(base["rows_per_s"], 1e-12)
     print_exhibit(
         "Replay dataset service — aggregate sampled rows/s",
         [
             f"1 shard,  1 learner      {base['rows_per_s']:12.0f} rows/s  (1.00x)",
-            f"{scaled_shards} shards, 2 learners     "
+            f"{SCALED_SHARDS} shards, 2 learners     "
             f"{scaled['rows_per_s']:12.0f} rows/s  ({ratio:5.2f}x)",
             f"learner utilization      {train.extra['learner_utilization']:12.2f}"
             f"   (train_steps, 2 shards x 2 learners)",
@@ -216,54 +187,10 @@ def bench_replay_service(benchmark):
     if QUAD_CORE:
         assert ratio >= 2.5, (
             f"aggregate pull throughput only {ratio:.2f}x from (1,1) to "
-            f"({scaled_shards},2) (need >= 2.5x)"
+            f"({SCALED_SHARDS},2) (need >= 2.5x)"
         )
     else:  # small host: record the ratio, skip the hardware claim
         print(
             f"({os.cpu_count()} usable cores: {ratio:.2f}x measured; "
             f">=2.5x assertion needs >= 4 cores)"
         )
-
-
-def _smoke() -> int:
-    """Reduced-geometry CI check: correctness signals only."""
-    base, scaled, scaled_shards = _measure(smoke=True)
-    train = _utilization_run(smoke=True)
-    ratio = scaled["rows_per_s"] / max(base["rows_per_s"], 1e-12)
-    print(
-        f"pull throughput: (1,1) {base['rows_per_s']:9.0f} rows/s  "
-        f"({scaled_shards},2) {scaled['rows_per_s']:9.0f} rows/s  ({ratio:4.2f}x)"
-    )
-    print(
-        f"train_steps:     rounds {int(train.extra['learner_rounds'])}  "
-        f"utilization {train.extra['learner_utilization']:.2f}  "
-        f"staleness max {train.extra['staleness_max']:.0f}"
-    )
-    failures = base["failures"] + scaled["failures"]
-    if train.extra["learner_rounds"] <= 0:
-        failures.append("service-mode learners made no update rounds")
-    if not 0.0 < train.extra["learner_utilization"] <= 1.0:
-        failures.append(
-            f"learner utilization {train.extra['learner_utilization']} out of range"
-        )
-    if failures:
-        for failure in failures:
-            print(f"FAIL: {failure}", file=sys.stderr)
-        return 1
-    print("smoke OK: sharded pulls conserve rows and learners make progress")
-    return 0
-
-
-if __name__ == "__main__":
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--smoke", action="store_true", help="reduced CI geometry + signal checks"
-    )
-    cli = parser.parse_args()
-    if cli.smoke:
-        sys.exit(_smoke())
-    print(
-        "run the full exhibit via: pytest benchmarks/bench_replay_service.py "
-        "--benchmark-only -s"
-    )
-    sys.exit(0)

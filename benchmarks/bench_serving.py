@@ -17,38 +17,23 @@ per-user version regressions) and print measured ratios for the
 record.  An overload section drives an open loop past capacity into a
 shallow queue and checks that shedding engages while the p99 of
 *admitted* requests stays bounded.
-
-``python benchmarks/bench_serving.py --smoke`` runs a reduced geometry
-for CI, gating only the correctness signals.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
-import sys
 
 import numpy as np
 
+from conftest import print_exhibit
 from repro.nn.mlp import mlp
 from repro.serving import LoadGenerator, PolicyServer, SnapshotStore
 
-try:  # pytest runs from benchmarks/, __main__ from anywhere
-    from conftest import print_exhibit
-except ImportError:  # pragma: no cover - __main__ --smoke path
-    sys.path.insert(0, __file__.rsplit("/", 1)[0])
-    from conftest import print_exhibit
-
-FULL_AGENTS, FULL_OBS, FULL_ACT = 4, 24, 5
-FULL_HIDDEN = (128, 128)
-FULL_USERS = 1_000
-FULL_REQUESTS = 40_000
-FULL_WINDOWS_MS = (0.5, 1.0, 2.0, 5.0)
-SMOKE_AGENTS, SMOKE_OBS, SMOKE_ACT = 3, 12, 5
-SMOKE_HIDDEN = (32, 32)
-SMOKE_USERS = 1_000
-SMOKE_REQUESTS = 10_000
-SMOKE_WINDOWS_MS = (1.0,)
+AGENTS, OBS_DIM, ACT_DIM = 4, 24, 5
+HIDDEN = (128, 128)
+USERS = 1_000
+REQUESTS = 40_000
+WINDOWS_MS = (0.5, 1.0, 2.0, 5.0)
 
 #: >= 2 usable cores: the flusher thread and client callbacks overlap.
 DUAL_CORE = (os.cpu_count() or 1) >= 2
@@ -148,28 +133,20 @@ def _run_overload(store, users: int, capacity_rps: float):
     return report, failures
 
 
-def _measure(smoke: bool):
-    agents = SMOKE_AGENTS if smoke else FULL_AGENTS
-    obs_dim = SMOKE_OBS if smoke else FULL_OBS
-    act_dim = SMOKE_ACT if smoke else FULL_ACT
-    hidden = SMOKE_HIDDEN if smoke else FULL_HIDDEN
-    users = SMOKE_USERS if smoke else FULL_USERS
-    requests = SMOKE_REQUESTS if smoke else FULL_REQUESTS
-    windows = SMOKE_WINDOWS_MS if smoke else FULL_WINDOWS_MS
-    store = _build_store(agents, obs_dim, act_dim, hidden)
+def _measure():
+    store = _build_store(AGENTS, OBS_DIM, ACT_DIM, HIDDEN)
     base, failures = _run_closed(
-        store, window_ms=0.0, max_batch=1, users=users,
-        requests=requests // 4 if not smoke else requests // 2,
+        store, window_ms=0.0, max_batch=1, users=USERS, requests=REQUESTS // 4,
     )
     sweep = []
-    for window_ms in windows:
+    for window_ms in WINDOWS_MS:
         report, report_failures = _run_closed(
-            store, window_ms=window_ms, max_batch=1024, users=users,
-            requests=requests,
+            store, window_ms=window_ms, max_batch=1024, users=USERS,
+            requests=REQUESTS,
         )
         sweep.append((window_ms, report))
         failures.extend(report_failures)
-    overload, overload_failures = _run_overload(store, users, base.throughput)
+    overload, overload_failures = _run_overload(store, USERS, base.throughput)
     failures.extend(overload_failures)
     return base, sweep, overload, failures
 
@@ -179,7 +156,7 @@ def bench_serving(benchmark):
     result = {}
 
     def run():
-        result["runs"] = _measure(smoke=False)
+        result["runs"] = _measure()
         return result
 
     benchmark.pedantic(run, rounds=1, iterations=1)
@@ -203,7 +180,7 @@ def bench_serving(benchmark):
         f"requests, admitted p99 {overload.latency_p(99) * 1e3:7.2f}ms"
     )
     print_exhibit(
-        f"Micro-batched policy serving — {FULL_USERS} concurrent users",
+        f"Micro-batched policy serving — {USERS} concurrent users",
         lines,
         paper_note="coalescing concurrent per-user requests into one stacked "
         "(N, B, dim) forward amortizes per-request dispatch the same way "
@@ -213,51 +190,10 @@ def bench_serving(benchmark):
     if DUAL_CORE:
         assert best_ratio >= 3.0, (
             f"micro-batched throughput only {best_ratio:.2f}x the "
-            f"request-at-a-time baseline at {FULL_USERS} users (need >= 3x)"
+            f"request-at-a-time baseline at {USERS} users (need >= 3x)"
         )
     else:  # single core: record the ratio, skip the hardware claim
         print(
             f"({os.cpu_count()} usable cores: {best_ratio:.2f}x measured; "
             f">=3x assertion needs >= 2 cores)"
         )
-
-
-def _smoke() -> int:
-    """Reduced-geometry CI check: correctness signals only."""
-    base, sweep, overload, failures = _measure(smoke=True)
-    for window_ms, report in sweep:
-        ratio = report.throughput / max(base.throughput, 1e-12)
-        print(
-            f"window {window_ms:4.1f}ms: {report.throughput:9.0f} req/s vs "
-            f"B=1 {base.throughput:9.0f} req/s ({ratio:4.2f}x)  "
-            f"p50 {report.latency_p(50) * 1e3:6.2f}ms  "
-            f"p99 {report.latency_p(99) * 1e3:6.2f}ms"
-        )
-    print(
-        f"overload: shed {overload.shed}/{overload.requests}, admitted "
-        f"p99 {overload.latency_p(99) * 1e3:6.2f}ms"
-    )
-    if failures:
-        for failure in failures:
-            print(f"FAIL: {failure}", file=sys.stderr)
-        return 1
-    print(
-        "smoke OK: responses conserved, versions traceable, overload sheds "
-        "with bounded admitted tail"
-    )
-    return 0
-
-
-if __name__ == "__main__":
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--smoke", action="store_true", help="reduced CI geometry + signal checks"
-    )
-    cli = parser.parse_args()
-    if cli.smoke:
-        sys.exit(_smoke())
-    print(
-        "run the full exhibit via: pytest benchmarks/bench_serving.py "
-        "--benchmark-only -s"
-    )
-    sys.exit(0)

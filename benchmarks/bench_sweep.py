@@ -17,54 +17,42 @@ parallel hardware, so the hard assertion is guarded on
 signals (every cell ok in both topologies, identical per-cell results
 registered, registry rebuild round-trips) and print measured ratios for
 the record.
-
-``python benchmarks/bench_sweep.py --smoke`` runs a reduced geometry
-for CI, gating only the correctness signals.
 """
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import os
-import sys
 import tempfile
 from pathlib import Path
 
+from conftest import print_exhibit
 from repro.sweep import RunRegistry, SweepRunner, SweepSpec
 
-try:  # pytest runs from benchmarks/, __main__ from anywhere
-    from conftest import print_exhibit
-except ImportError:  # pragma: no cover - __main__ --smoke path
-    sys.path.insert(0, __file__.rsplit("/", 1)[0])
-    from conftest import print_exhibit
-
-FULL_EPISODES = 6
-SMOKE_EPISODES = 1
-FULL_REPEATS = 2
-SMOKE_REPEATS = 1
+EPISODES = 6
+REPEATS = 2
 
 #: >= 4 usable cores: 8 one-core children can actually overlap.
 QUAD_CORE = (os.cpu_count() or 1) >= 4
 
 
-def _spec(smoke: bool) -> SweepSpec:
-    """8 short cells full / 4 cells smoke, all single-core learners."""
+def _spec() -> SweepSpec:
+    """8 short cells, all single-core learners."""
     return SweepSpec.from_dict(
         {
             "name": "bench-sweep",
             "base": {
-                "episodes": SMOKE_EPISODES if smoke else FULL_EPISODES,
+                "episodes": EPISODES,
                 "batch_size": 16,
                 "buffer_capacity": 256,
                 "update_every": 10,
-                "max_episode_len": 10 if smoke else 25,
+                "max_episode_len": 25,
             },
             "grid": {
                 "algorithm": ["maddpg", "matd3"],
                 "agents": [2, 3],
             },
-            "repeats": SMOKE_REPEATS if smoke else FULL_REPEATS,
+            "repeats": REPEATS,
         }
     )
 
@@ -90,8 +78,8 @@ def _registered_rewards(registry: RunRegistry):
     }
 
 
-def _measure(smoke: bool):
-    spec = _spec(smoke)
+def _measure():
+    spec = _spec()
     workers = max(os.cpu_count() or 1, 2)
     failures = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -125,7 +113,7 @@ def bench_sweep(benchmark):
     result = {}
 
     def run():
-        result["runs"] = _measure(smoke=False)
+        result["runs"] = _measure()
         return result
 
     benchmark.pedantic(run, rounds=1, iterations=1)
@@ -154,38 +142,3 @@ def bench_sweep(benchmark):
             f"({os.cpu_count()} usable cores: {ratio:.2f}x measured; "
             f">=2.5x assertion needs >= 4 cores)"
         )
-
-
-def _smoke() -> int:
-    """Reduced-geometry CI check: correctness signals only."""
-    serial, parallel, workers, failures = _measure(smoke=True)
-    ratio = serial.wall_seconds / max(parallel.wall_seconds, 1e-12)
-    print(
-        f"sweep wall clock: serial {serial.wall_seconds:6.2f}s  "
-        f"parallel({workers}) {parallel.wall_seconds:6.2f}s  ({ratio:4.2f}x)"
-    )
-    print(
-        f"cells: {parallel.ok}/{parallel.total_runs} ok in both topologies, "
-        f"{parallel.attempts} attempts"
-    )
-    if failures:
-        for failure in failures:
-            print(f"FAIL: {failure}", file=sys.stderr)
-        return 1
-    print("smoke OK: parallel sweep registers the same cells as serial")
-    return 0
-
-
-if __name__ == "__main__":
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--smoke", action="store_true", help="reduced CI geometry + signal checks"
-    )
-    cli = parser.parse_args()
-    if cli.smoke:
-        sys.exit(_smoke())
-    print(
-        "run the full exhibit via: pytest benchmarks/bench_sweep.py "
-        "--benchmark-only -s"
-    )
-    sys.exit(0)

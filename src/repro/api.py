@@ -6,7 +6,7 @@ reduced to argument parsing plus a call into this module::
     from repro import api
 
     result = api.train(cfg, algorithm="matd3", steps=200, copies=8)
-    report, violations = api.bench(suite="smoke", compare=baseline_path)
+    report, violations = api.bench(output="BENCH_exhibit.json")
     outcome = api.serve(users=500, requests=10_000)
     summary = api.sweep(api.load_sweep_spec("sweeps/smoke.toml"), "registry/")
 
@@ -268,32 +268,29 @@ def sweep(
 
 
 def bench(
-    suite: str = "smoke",
     output: Optional[Union[str, Path]] = None,
-    compare: Optional[Union[str, Path]] = None,
     verbose: bool = False,
 ) -> Tuple[Dict[str, object], List[str]]:
-    """Run a registered bench suite; returns ``(report, violations)``.
+    """Run every ``benchmarks/bench_*.py`` exhibit; returns ``(report, violations)``.
 
-    ``violations`` collects failed benches plus — when ``compare`` names
-    a baseline report — gated-metric regressions beyond tolerance
+    The report is written to ``output`` (default ``BENCH_exhibit.json``
+    at the repo root); ``violations`` names the exhibits that failed
     (empty list = pass, the ``repro bench`` exit-0 condition).
     """
     from . import bench as bench_mod
 
-    results = bench_mod.run_suite(suite, verbose=verbose)
+    results = bench_mod.run_exhibits(verbose=verbose)
     out = (
         Path(output)
         if output is not None
-        else bench_mod._REPO_ROOT / f"BENCH_{suite}.json"
+        else bench_mod._REPO_ROOT / "BENCH_exhibit.json"
     )
-    report = bench_mod.write_report(suite, results, out)
+    report = bench_mod.write_report("exhibit", results, out)
+    if verbose:
+        print(f"[bench] report written to {out}")
     violations = [
         f"{r.name}: failed ({r.error})" for r in results if not r.ok
     ]
-    if compare is not None:
-        baseline = bench_mod.load_report(Path(compare))
-        violations.extend(bench_mod.compare_reports(report, baseline))
     return report, violations
 
 

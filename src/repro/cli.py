@@ -8,8 +8,8 @@ Commands
 ``sample``     microbenchmark the sampling strategies against each other
 ``envs``       list registered environments and their observation spaces
 ``variants``   list trainer variants
-``bench``      run a registered benchmark suite, write BENCH_<suite>.json,
-               optionally gate against a baseline (--compare)
+``bench``      run every paper exhibit (``benchmarks/bench_*.py``) and
+               write BENCH_exhibit.json; --list names them
 ``serve``      drive the micro-batched policy-inference serving tier with
                simulated concurrent users and print the latency/throughput
                report
@@ -226,27 +226,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("envs", help="list registered environments")
     sub.add_parser("variants", help="list trainer variants")
 
-    bench = sub.add_parser("bench", help="run a registered benchmark suite")
-    bench.add_argument(
-        "--suite",
-        choices=["smoke", "ci", "exhibit", "all"],
-        default="smoke",
-        help="which registered specs to run (ci includes smoke)",
+    bench = sub.add_parser(
+        "bench", help="run every paper exhibit under benchmarks/bench_*.py"
     )
     bench.add_argument(
         "--output",
         default=None,
-        help="report path (default: BENCH_<suite>.json at the repo root)",
+        help="report path (default: BENCH_exhibit.json at the repo root)",
     )
     bench.add_argument(
-        "--compare",
-        default=None,
-        metavar="BASELINE",
-        help="gate gated metrics against this baseline report; exits "
-        "nonzero on any regression beyond its metric's tolerance",
-    )
-    bench.add_argument(
-        "--list", action="store_true", help="list registered benchmarks and exit"
+        "--list", action="store_true", help="list the exhibits and exit"
     )
 
     serve = sub.add_parser(
@@ -636,19 +625,15 @@ def _cmd_bench(args) -> int:
     from . import bench as bench_mod
 
     if args.list:
-        return bench_mod.main(args)
-    report, violations = api.bench(
-        suite=args.suite, output=args.output, compare=args.compare, verbose=True
-    )
-    out = args.output or str(bench_mod._REPO_ROOT / f"BENCH_{args.suite}.json")
-    print(f"[bench] report written to {out}")
+        for name, description, _path in bench_mod.exhibits():
+            print(f"{name:<28} {description}")
+        return 0
+    _report, violations = api.bench(output=args.output, verbose=True)
     if violations:
         print(f"[bench] {len(violations)} violation(s):", file=sys.stderr)
         for violation in violations:
             print(f"[bench]   {violation}", file=sys.stderr)
         return 1
-    if args.compare:
-        print(f"[bench] compare vs {args.compare}: all gated metrics within tolerance")
     return 0
 
 

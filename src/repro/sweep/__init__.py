@@ -16,7 +16,8 @@ The paper's characterization becomes actionable when many
   (``registry``);
 * :mod:`~repro.sweep.report` — longitudinal perf trajectories rendered
   from accumulated ``BENCH_<suite>.json`` generations and sweep
-  registries (sparkline tables + ``--compare``-style gating).
+  registries (sparkline tables, newest generation gated on
+  ``BENCHMARK.json``'s bounds).
 
 ``repro sweep`` / ``repro report`` are the CLI frontends;
 :func:`repro.api.sweep` / :func:`repro.api.report` the programmatic

@@ -2,13 +2,15 @@
 
 Two render surfaces behind ``repro report``:
 
-* :func:`render_history` — cross-commit *trajectories*.  Every CI bench
-  run appends a ``BENCH_<suite>.json`` generation; pointed at a
-  directory of them (or an explicit file list) this renders one
+* :func:`render_history` — cross-commit *trajectories*.  Every
+  performance PR checks in a ``BENCH_<suite>.json`` generation; pointed
+  at a directory of them (or an explicit file list) this renders one
   sparkline row per ``bench.metric`` across generations, then gates the
-  newest generation against the previous one with the same
-  tolerance-band policy as ``repro bench --compare`` — so a slow drift
-  and a sharp cliff are both visible in one table.
+  newest generation against the previous one.  The gate's policy is
+  ``BENCHMARK.json``'s ``better`` / ``bound`` per end-to-end metric, the
+  one place it is written (:func:`repro.bench.suite_gates`); a suite
+  without gates renders ``n/a``, never ``pass`` — so a slow drift and a
+  sharp cliff are both visible in one table.
 * :func:`render_registry` — the state of one sweep: per-run status /
   attempts / headline metrics from a
   :class:`~repro.sweep.registry.RunRegistry` manifest.
@@ -168,17 +170,21 @@ def render_history(
             f"  {key.ljust(width)}  {sparkline(values)}"
             f"  {_fmt(first):>10}  {_fmt(last):>10}  {delta:>8}"
         )
-    if len(history) >= 2:
-        from ..bench import compare_reports
+    if len(history) < 2:
+        lines.append("gate vs previous generation: n/a (single generation)")
+        return "\n".join(lines)
+    from ..bench import compare_reports, suite_gates
 
-        violations = compare_reports(history[-1], history[-2])
+    gates = suite_gates(str(suite))
+    if not gates:
+        lines.append(f"gate vs previous generation: n/a (no gates for suite {suite})")
+    else:
+        violations = compare_reports(history[-1], history[-2], gates)
         if violations:
             lines.append("gate vs previous generation: FAIL")
             lines.extend(f"  - {v}" for v in violations)
         else:
             lines.append("gate vs previous generation: pass")
-    else:
-        lines.append("gate vs previous generation: n/a (single generation)")
     return "\n".join(lines)
 
 

@@ -166,8 +166,8 @@ class TestExecuteRun:
 
 
 def fake_report(path, sha, reward, sps, *, stamp, suite="smoke"):
-    """A synthetic bench-report generation.  Bench names unknown to the
-    registry are skipped by compare_reports, so gating renders 'pass'."""
+    """A synthetic bench-report generation.  Only the ``e2e`` suite has
+    gates (BENCHMARK.json), so for these the gate line renders 'n/a'."""
     report = {
         "schema_version": BENCH_SCHEMA_VERSION,
         "telemetry_schema_version": TELEMETRY_SCHEMA_VERSION,
@@ -199,7 +199,7 @@ class TestReportHistory:
         assert "(aaaaaaaaa → bbbbbbbbb)" in text
         assert "fake_bench.mean_episode_reward" in text
         assert "+25.0%" in text  # -4.0 → -3.0
-        assert "gate vs previous generation: pass" in text
+        assert "gate vs previous generation: n/a (no gates for suite smoke)" in text
 
     def test_metric_filter_and_single_generation(self, tmp_path):
         fake_report(tmp_path / "BENCH_a.json", "aaaaaaaaa", -4.0, 100.0, stamp=1e9)

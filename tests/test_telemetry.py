@@ -2,8 +2,9 @@
 
 Covers the typed-record schema round-trip through JSONL, the PhaseTimer
 span adapter, the disabled-path overhead contract (shared null context,
-no record construction), the training-loop integration, and the bench
-harness compare gate.
+no record construction), the training-loop integration, the bench
+report compare gate, the exhibit listing, and the end-to-end trajectory
+gate ``repro report --history --suite e2e`` reads from BENCHMARK.json.
 """
 
 import json
@@ -208,16 +209,21 @@ class TestSinks:
 
 
 class TestBenchHarness:
+    #: the policy a caller hands compare_reports: one exact gate, one band
+    GATES = {
+        "spans_emitted_ok": ("higher", 0.0),
+        "disabled_overhead_ratio": ("lower", 1.0),
+    }
+
     def _report(self, metrics):
         from repro import bench
 
-        spec = bench.spec_by_name("telemetry_overhead")
         return {
             "schema_version": bench.BENCH_SCHEMA_VERSION,
             "suite": "smoke",
             "results": [
                 {
-                    "bench": spec.name,
+                    "bench": "telemetry_overhead",
                     "ok": True,
                     "seconds": 0.1,
                     "error": "",
@@ -226,25 +232,18 @@ class TestBenchHarness:
             ],
         }
 
-    def test_registry_names_unique_and_suites_known(self):
-        from repro import bench
-
-        names = [s.name for s in bench.REGISTRY]
-        assert len(names) == len(set(names))
-        assert {s.suite for s in bench.REGISTRY} <= {"smoke", "ci", "exhibit"}
-
     def test_compare_passes_identical_reports(self):
         from repro import bench
 
         base = self._report({"spans_emitted_ok": 1.0, "enabled_overhead_ratio": 2.0})
-        assert bench.compare_reports(base, base) == []
+        assert bench.compare_reports(base, base, self.GATES) == []
 
     def test_compare_flags_exact_gate_regression(self):
         from repro import bench
 
         base = self._report({"spans_emitted_ok": 1.0, "enabled_overhead_ratio": 2.0})
         cur = self._report({"spans_emitted_ok": 0.0, "enabled_overhead_ratio": 2.0})
-        violations = bench.compare_reports(cur, base)
+        violations = bench.compare_reports(cur, base, self.GATES)
         assert violations and "spans_emitted_ok" in violations[0]
 
     def test_compare_tolerates_band_and_flags_beyond_it(self):
@@ -254,9 +253,9 @@ class TestBenchHarness:
         # tolerance 1.0): anything up to 2x the baseline passes
         base = self._report({"spans_emitted_ok": 1.0, "disabled_overhead_ratio": 1.0})
         within = self._report({"spans_emitted_ok": 1.0, "disabled_overhead_ratio": 1.9})
-        assert bench.compare_reports(within, base) == []
+        assert bench.compare_reports(within, base, self.GATES) == []
         beyond = self._report({"spans_emitted_ok": 1.0, "disabled_overhead_ratio": 2.5})
-        violations = bench.compare_reports(beyond, base)
+        violations = bench.compare_reports(beyond, base, self.GATES)
         assert violations and "disabled_overhead_ratio" in violations[0]
 
     def test_ungated_metric_never_gates(self):
@@ -264,47 +263,106 @@ class TestBenchHarness:
 
         base = self._report({"spans_emitted_ok": 1.0, "enabled_overhead_ratio": 1.0})
         cur = self._report({"spans_emitted_ok": 1.0, "enabled_overhead_ratio": 100.0})
-        assert bench.compare_reports(cur, base) == []
+        assert bench.compare_reports(cur, base, self.GATES) == []
 
     def test_compare_flags_missing_bench(self):
         from repro import bench
 
         base = self._report({"spans_emitted_ok": 1.0})
         cur = dict(base, results=[])
-        violations = bench.compare_reports(cur, base)
+        violations = bench.compare_reports(cur, base, self.GATES)
         assert violations and "missing" in violations[0]
 
-    def test_checked_in_baseline_is_current_schema(self):
-        from repro import bench
-
-        with open(bench._REPO_ROOT / "benchmarks" / "baselines" / "BENCH_smoke.json") as f:
-            baseline = json.load(f)
-        assert baseline["schema_version"] == bench.BENCH_SCHEMA_VERSION
-        baseline_names = {r["bench"] for r in baseline["results"]}
-        smoke_names = {s.name for s in bench.REGISTRY if s.suite == "smoke"}
-        assert baseline_names == smoke_names
-
-    def test_serving_bench_registered(self):
-        from repro import bench
-
-        spec = bench.spec_by_name("serving")
-        assert spec.suite == "smoke"
-        gated = {m.name for m in spec.metrics if m.gate}
-        assert {"batch_parity", "responses_conserved"} <= gated
-        script_names = {s.name for s in bench.REGISTRY}
-        assert "cli_serving" in script_names
-        assert bench.spec_by_name("cli_serving").file == "bench_serving.py"
-
-    def test_bench_list_prints_registry(self, capsys):
+    def test_bench_list_prints_one_row_per_exhibit_file(self, capsys):
         from repro import bench
         from repro.cli import main
 
         assert main(["bench", "--list"]) == 0
-        out = capsys.readouterr().out
-        lines = [l for l in out.splitlines() if l.strip()]
-        assert len(lines) == len(bench.REGISTRY)  # one row per spec
-        serving_rows = [l for l in lines if l.startswith("serving ")]
-        assert len(serving_rows) == 1
-        row = serving_rows[0]
-        assert "smoke" in row
-        assert any(l.startswith("cli_serving ") for l in lines)
+        rows = [l.split()[0] for l in capsys.readouterr().out.splitlines() if l.strip()]
+        on_disk = sorted(
+            p.stem[len("bench_"):]
+            for p in (bench._REPO_ROOT / "benchmarks").glob("bench_*.py")
+        )
+        assert rows == on_disk and len(rows) == len(set(rows))
+
+    @pytest.mark.parametrize("argv", [["--suite", "smoke"], ["--compare", "x"]])
+    def test_bench_suite_and_compare_are_unrecognized(self, argv, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bench", *argv])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class TestEndToEndGate:
+    """``repro report --history … --suite e2e`` gates on BENCHMARK.json."""
+
+    def _history(self, tmp_path, mutate=None):
+        """The two checked-in generations, plus a synthetic third."""
+        from repro import api, bench
+
+        root = bench._REPO_ROOT / "benchmarks"
+        first = bench.load_report(root / "e2e" / "baselines" / "BENCH_e2e.json")
+        second = bench.load_report(root / "baselines" / "BENCH_e2e_pr23.json")
+        generations = [first, second]
+        if mutate is not None:
+            third = json.loads(json.dumps(second))
+            third["created_unix"] = second["created_unix"] + 1.0
+            mutate({r["bench"]: r for r in third["results"]}, third)
+            generations.append(third)
+        for i, report in enumerate(generations):
+            (tmp_path / f"BENCH_e2e_{i}.json").write_text(json.dumps(report))
+        return api.report_history(tmp_path, suite="e2e")
+
+    def test_gates_are_the_declared_end_to_end_bounds(self):
+        from repro import bench
+
+        gates = bench.suite_gates("e2e")
+        assert gates["env_steps_per_s"] == ("higher", 0.2)
+        assert gates["peak_rss_mb"] == ("lower", 0.05)
+        assert set(gates) == {
+            "env_steps_per_s", "update_rounds_per_s", "cpu_s_per_kstep",
+            "setup_s", "peak_rss_mb",
+        }
+        assert bench.suite_gates("smoke") == {}
+
+    def test_checked_in_generations_pass(self, tmp_path):
+        text = self._history(tmp_path)
+        assert "generations: 2" in text
+        assert text.endswith("gate vs previous generation: pass")
+
+    @pytest.mark.parametrize(
+        "metric, factor, verdict",
+        [
+            ("env_steps_per_s", 0.70, "FAIL"),  # bound 0.20, higher is better
+            ("env_steps_per_s", 0.90, "pass"),
+            ("peak_rss_mb", 1.06, "FAIL"),  # bound 0.05, lower is better
+            ("peak_rss_mb", 1.04, "pass"),
+        ],
+    )
+    def test_synthetic_third_generation(self, tmp_path, metric, factor, verdict):
+        def mutate(by_bench, _report):
+            by_bench["paper_n12"]["metrics"][metric] *= factor
+
+        text = self._history(tmp_path, mutate)
+        assert "generations: 3" in text
+        assert f"gate vs previous generation: {verdict}" in text
+        assert (f"- paper_n12.{metric}:" in text) == (verdict == "FAIL")
+
+    def test_dropped_or_failed_bench_is_a_violation(self, tmp_path):
+        def drop(_by_bench, report):
+            report["results"] = [
+                r for r in report["results"] if r["bench"] != "per_n6"
+            ]
+
+        text = self._history(tmp_path, drop)
+        assert "gate vs previous generation: FAIL" in text
+        assert "- per_n6: missing from current run" in text
+
+        def fail(by_bench, _report):
+            by_bench["per_n6"]["ok"] = False
+
+        text = self._history(tmp_path, fail)
+        assert "gate vs previous generation: FAIL" in text
+        assert "- per_n6: failed" in text
